@@ -16,7 +16,7 @@ import hashlib
 import json
 import math
 import sys
-from dataclasses import dataclass, field as dataclass_field
+from dataclasses import dataclass, replace
 from pathlib import Path
 
 import numpy as np
@@ -241,8 +241,11 @@ class Runner:
         if self._field is None:
             cache_file = self.out / "cache" / f"field-{self.cfg.field_key()}.bin"
             if self.use_cache and cache_file.exists():
-                self._field = debye.load_field(cache_file)
-            else:
+                try:
+                    self._field = debye.load_field(cache_file)
+                except ValueError as exc:
+                    print(f"warning: recomputing unreadable {cache_file}: {exc}", file=sys.stderr)
+            if self._field is None:
                 self._field = debye.simulate_field(self.cfg.aperture, self.cfg.grid)
                 if self.use_cache:
                     cache_file.parent.mkdir(parents=True, exist_ok=True)
@@ -277,7 +280,8 @@ class Runner:
         return optimizer.TruncationPolicy(threshold_db=db, convention=self.cfg.convention)
 
     def solve_levels(self, levels) -> list:
-        """One result per level; a shared factorization when possible."""
+        """(level, result) pairs; ``none`` then strictly decreasing dB levels
+        share one factorization as a truncation sweep."""
         db_levels = [db for db in levels if db is not None]
         descending = all(
             db_levels[i] > db_levels[i + 1] for i in range(len(db_levels) - 1)
@@ -286,8 +290,8 @@ class Runner:
             results = optimizer.truncation_sweep(
                 self.stack(), self.mask(), [self.policy(db) for db in db_levels]
             )
-            return results
-        return [optimizer.solve(self.stack(), self.mask(), self.policy(db)) for db in levels]
+            return list(zip([None] + db_levels, results))
+        return [(db, optimizer.solve(self.stack(), self.mask(), self.policy(db))) for db in levels]
 
     # -- emission ----------------------------------------------------------
 
@@ -321,10 +325,8 @@ def _level_label(db: float | None) -> str:
 # ---------------------------------------------------------------------------
 # subcommand handlers
 
-def _cmd_field(runner: Runner) -> None:
-    field = runner.field()
-    runner.emit("field.bin", lambda p: debye.dump_field(field, p))
-    radii, intensities = debye.radial_profile(field, 0.0)
+def _emit_radial_profile(runner: Runner, name: str) -> None:
+    radii, intensities = debye.radial_profile(runner.field(), 0.0)
 
     def writer(path):
         with open(path, "w", newline="") as fh:
@@ -332,7 +334,13 @@ def _cmd_field(runner: Runner) -> None:
             for r, v in zip(radii, intensities):
                 fh.write(f"{r:.17g},{v:.17g}\n")
 
-    runner.emit("radial_profile.csv", writer)
+    runner.emit(name, writer)
+
+
+def _cmd_field(runner: Runner) -> None:
+    field = runner.field()
+    runner.emit("field.bin", lambda p: debye.dump_field(field, p))
+    _emit_radial_profile(runner, "radial_profile.csv")
 
 
 def _cmd_otfs(runner: Runner) -> None:
@@ -347,13 +355,8 @@ def _cmd_otfs(runner: Runner) -> None:
 
 def _cmd_optimize(runner: Runner) -> None:
     stack = runner.stack()
-    results = runner.solve_levels(runner.cfg.levels)
-    solved_levels = (
-        [None] + [db for db in runner.cfg.levels if db is not None]
-        if len(results) != len(runner.cfg.levels)
-        else list(runner.cfg.levels)
-    )
-    for db, result in zip(solved_levels, results):
+    solved = runner.solve_levels(runner.cfg.levels)
+    for db, result in solved:
         label = _level_label(db)
         runner.emit_json(f"combination_{label}.json", result.to_json_dict())
         runner.emit(
@@ -365,19 +368,14 @@ def _cmd_optimize(runner: Runner) -> None:
             f"cotf_section_{label}.csv",
             lambda p, v=shaped: analysis.export_section_csv(stack.axes, v, p),
         )
-    if len(results) > 1:
+    if len(solved) > 1:
+        results = [result for _, result in solved]
         runner.emit("sweep.csv", lambda p: analysis.export_sweep_csv(results, p))
 
 
 def _cmd_analyze(runner: Runner) -> None:
     stack = runner.stack()
-    results = runner.solve_levels(runner.cfg.levels)
-    solved_levels = (
-        [None] + [db for db in runner.cfg.levels if db is not None]
-        if len(results) != len(runner.cfg.levels)
-        else list(runner.cfg.levels)
-    )
-    for db, result in zip(solved_levels, results):
+    for db, result in runner.solve_levels(runner.cfg.levels):
         curve = analysis.defocus_curve(stack, result.cotf)
         runner.emit(
             f"defocus_{_level_label(db)}.csv",
@@ -416,18 +414,8 @@ def _figure_runner(runner: Runner, kind: str) -> Runner:
         "line": otf.DEFAULT_LINE_GEOMETRY,
         "cross": otf.DEFAULT_CROSS_GEOMETRY,
     }[kind]
-    cfg = RunConfig(
-        aperture=runner.cfg.aperture,
-        grid=runner.cfg.grid,
-        geometry_kind=kind,
-        geometry=geometry,
-        mask_kind="mainlobe",
-        mask_depth=0.0,
-        levels=runner.cfg.levels,
-        directory=runner.cfg.directory,
-        cache=runner.cfg.cache,
-        normalize_columns=runner.cfg.normalize_columns,
-        convention=runner.cfg.convention,
+    cfg = replace(
+        runner.cfg, geometry_kind=kind, geometry=geometry, mask_kind="mainlobe", mask_depth=0.0
     )
     sub = Runner(cfg, runner.out, runner.use_cache)
     sub._field = runner._field
@@ -449,15 +437,7 @@ def _reproduce_figure(sub: Runner, figure: int) -> None:
             f"{prefix}_section.csv",
             lambda p: analysis.export_section_csv(reference.axes, reference.values, p),
         )
-        radii, intensities = debye.radial_profile(sub.field(), 0.0)
-
-        def writer(path):
-            with open(path, "w", newline="") as fh:
-                fh.write("radius,intensity\n")
-                for r, v in zip(radii, intensities):
-                    fh.write(f"{r:.17g},{v:.17g}\n")
-
-        sub.emit(f"{prefix}_radial.csv", writer)
+        _emit_radial_profile(sub, f"{prefix}_radial.csv")
     elif figure == 2:
         shifts = _shift_schedule(sub.cfg.grid)
         curve = analysis.power_vs_shift(sub.field(), sub.mask(), shifts)
@@ -544,10 +524,9 @@ def _cmd_reproduce(runner: Runner, figures) -> None:
     for figure in figures:
         kind = _figure_kind(figure)
         if kind not in subs:
-            subs[kind] = _figure_runner(runner, kind)
             # The field depends only on aperture and grid, so every
-            # geometry-specific runner can share one copy.
-            subs[kind]._field = runner._field
+            # geometry-specific runner shares one copy.
+            subs[kind] = _figure_runner(runner, kind)
         _reproduce_figure(subs[kind], figure)
         if runner._field is None:
             runner._field = subs[kind]._field

@@ -10,6 +10,7 @@ the periodic integrand.
 from __future__ import annotations
 
 import io
+import os
 from dataclasses import dataclass
 
 import numpy as np
@@ -201,9 +202,11 @@ def dump_field(field: FieldGrid, path) -> None:
     raw = np.empty(flat.size * 2, dtype="<f8")
     raw[0::2] = flat.real
     raw[1::2] = flat.imag
-    with open(path, "wb") as fh:
+    tmp = f"{path}.{os.getpid()}.tmp"  # renamed over path: never seen partial
+    with open(tmp, "wb") as fh:
         fh.write(header.getvalue().encode("ascii"))
         fh.write(raw.tobytes())
+    os.replace(tmp, path)
 
 
 def load_field(path) -> FieldGrid:

@@ -6,18 +6,21 @@ the optimal coefficient vector maximizes
     c^T A c / c^T B c,   A = T^T diag(f) T,   B = T^T diag(g) T,
 
 i.e. the ratio of squared combined weight inside the focal region to the
-squared weight outside it.  Regularization truncates the SVD of T: only
-singular directions within ``threshold_db`` decibels of the largest
-singular value are retained, and the quotient is maximized inside that
-subspace.  The reduced symmetric-definite eigenproblem is solved by
-Cholesky reduction.
+squared weight outside it.  The singular basis of the K x N matrix T comes
+from an SVD of its QR factor R.  Directions with sigma below
+sigma_max * max(K, N) * eps are numerically null and never used;
+regularization further keeps only directions within ``threshold_db``
+decibels of the largest singular value.  In the retained subspace the
+reduced B = Q Lambda Q^T whitens the pencil: the top eigenpair of
+Lambda^-1/2 Q^T A Q Lambda^-1/2 is the optimum.  A reduced B that is
+singular to working precision raises NumericalError.
 """
 from __future__ import annotations
 
 from dataclasses import dataclass
+from typing import NamedTuple
 
 import numpy as np
-import scipy.linalg as sla
 
 from .otf import OtfStack
 from .regions import RegionMask
@@ -65,6 +68,7 @@ class CombinationResult:
     improvement_factor: float
     cotf: np.ndarray
     rank_used: int
+    numerical_rank: int
     policy: TruncationPolicy
     pinhole_excluded: bool
 
@@ -74,6 +78,7 @@ class CombinationResult:
             "objective": float(self.objective),
             "improvement_factor": float(self.improvement_factor),
             "rank_used": int(self.rank_used),
+            "numerical_rank": int(self.numerical_rank),
             "policy": {
                 "threshold_db": self.policy.threshold_db,
                 "convention": self.policy.convention,
@@ -86,10 +91,8 @@ def conventional_objective(stack: OtfStack, mask: RegionMask) -> float:
     """Rayleigh ratio of the bare pinhole channel (c = e0)."""
     _check_compatible(stack, mask)
     t0 = stack.columns[:, 0]
-    f = mask.focal.astype(np.float64)
-    g = mask.out_of_focus.astype(np.float64)
-    num = float(np.sum((t0 * f) ** 2))
-    den = float(np.sum((t0 * g) ** 2))
+    num = float(np.sum((t0 * mask.focal) ** 2))
+    den = float(np.sum((t0 * mask.out_of_focus) ** 2))
     if den == 0.0:
         raise NumericalError("conventional objective undefined: pinhole has no out-of-focus weight")
     if num == 0.0:
@@ -146,18 +149,16 @@ def _sweep_convention(policies) -> str:
     return kinds.pop() if kinds else POWER
 
 
-class _Prepared:
+class _Prepared(NamedTuple):
     """Shared factorization for repeated solves on one stack/mask pair."""
 
-    __slots__ = ("singular_values", "vt", "a_full", "b_full", "conventional", "origin")
-
-    def __init__(self, singular_values, vt, a_full, b_full, conventional, origin):
-        self.singular_values = singular_values
-        self.vt = vt
-        self.a_full = a_full
-        self.b_full = b_full
-        self.conventional = conventional
-        self.origin = origin
+    singular_values: np.ndarray
+    vt: np.ndarray
+    resolved: np.ndarray  # directions above the numerical-rank floor
+    a_full: np.ndarray  # focal Gram matrix A
+    b_full: np.ndarray  # out-of-focus Gram matrix B
+    conventional: float
+    origin: int
 
 
 def _check_compatible(stack: OtfStack, mask: RegionMask) -> None:
@@ -168,58 +169,49 @@ def _check_compatible(stack: OtfStack, mask: RegionMask) -> None:
 
 
 def _prepare(stack: OtfStack, mask: RegionMask) -> _Prepared:
+    """R-SVD of T with its numerical-rank floor, plus A from the focal rows
+    and B from the out-of-focus rows."""
     _check_compatible(stack, mask)
     if stack.channel_count < 1:
         raise ValueError("stack must contain at least one channel")
     if mask.out_of_focus.sum() == 0:
         raise ValueError("out-of-focus region is empty")
-    t = stack.columns
-    f = mask.focal.astype(np.float64)
-    g = mask.out_of_focus.astype(np.float64)
-    singular_values, vt = _thin_svd(t)
-    a_full = _symmetrize((t * f[:, None]).T @ t)
-    b_full = _symmetrize((t * g[:, None]).T @ t)
     conventional = conventional_objective(stack, mask)
-    return _Prepared(singular_values, vt, a_full, b_full, conventional, stack.origin_node())
-
-
-def _thin_svd(t: np.ndarray):
-    svd_result = sla.svd(t, full_matrices=False, overwrite_a=False)
-    return svd_result[1], svd_result[2]
-
-
-def _symmetrize(m: np.ndarray) -> np.ndarray:
-    return 0.5 * (m + m.T)
+    t = stack.columns
+    r = np.linalg.qr(t, mode="r")
+    _, singular_values, vt = np.linalg.svd(r, full_matrices=False)
+    floor = singular_values[0] * max(t.shape) * np.finfo(np.float64).eps
+    focal = t[mask.focal.astype(bool)]
+    outside = t[mask.out_of_focus.astype(bool)]
+    return _Prepared(
+        singular_values, vt, singular_values >= floor,
+        focal.T @ focal, outside.T @ outside, conventional, stack.origin_node(),
+    )
 
 
 def _solve_prepared(stack: OtfStack, prep: _Prepared, policy: TruncationPolicy) -> CombinationResult:
-    keep = policy.keep_mask(prep.singular_values)
+    keep = policy.keep_mask(prep.singular_values) & prep.resolved
     rank = int(keep.sum())
     if rank == 0:
         raise NumericalError("truncation removed every singular direction")
-    basis = prep.vt.T[:, keep]  # N x r right-singular basis
-    a_red = _symmetrize(basis.T @ prep.a_full @ basis)
-    b_red = _symmetrize(basis.T @ prep.b_full @ basis)
+    basis = prep.vt[keep].T  # N x r right-singular basis
+    a_red = basis.T @ prep.a_full @ basis
+    b_red = basis.T @ prep.b_full @ basis
 
-    jitter = 1e-12 * np.trace(b_red) / rank
-    eigs_b = sla.eigvalsh(b_red)
-    if eigs_b[0] < jitter:
-        b_red = b_red + jitter * np.eye(rank)
-    try:
-        chol = sla.cholesky(b_red, lower=True)
-    except sla.LinAlgError as exc:
+    # Whiten B: with B = Q diag(lam) Q^T and W = Q diag(lam)^-1/2, the top
+    # eigenpair of the symmetric W^T A W solves the pencil.
+    lam, q = np.linalg.eigh(b_red)
+    if not lam[0] > rank * np.finfo(np.float64).eps * lam[-1]:
+        ratio = lam[0] / lam[-1] if lam[-1] > 0 else float("nan")
         raise NumericalError(
-            f"out-of-focus Gram matrix not positive definite after jitter "
-            f"(smallest eigenvalue {eigs_b[0]:.3e})"
-        ) from exc
-    # M = L^-1 A L^-T, symmetric; its top eigenpair solves the pencil.
-    half = sla.solve_triangular(chol, a_red, lower=True)
-    m = sla.solve_triangular(chol, half.T, lower=True)
-    eigenvalues, eigenvectors = sla.eigh(_symmetrize(m))
+            f"out-of-focus Gram matrix is singular on the retained subspace "
+            f"(lambda_min / lambda_max = {ratio:.3e} at rank {rank})"
+        )
+    w = q / np.sqrt(lam)
+    eigenvalues, eigenvectors = np.linalg.eigh(w.T @ a_red @ w)
     objective = float(eigenvalues[-1])
-    y = sla.solve_triangular(chol.T, eigenvectors[:, -1], lower=False)
 
-    coefficients = basis @ y
+    coefficients = basis @ (w @ eigenvectors[:, -1])
     coefficients = coefficients / np.linalg.norm(coefficients)
     cotf = stack.columns @ coefficients
     if cotf[prep.origin] < 0:
@@ -233,6 +225,7 @@ def _solve_prepared(stack: OtfStack, prep: _Prepared, policy: TruncationPolicy) 
         improvement_factor=objective / prep.conventional,
         cotf=cotf,
         rank_used=rank,
+        numerical_rank=int(prep.resolved.sum()),
         policy=policy,
         pinhole_excluded=e0_projection < 1e-9,
     )

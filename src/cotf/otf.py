@@ -245,25 +245,9 @@ def line_otf(field: FieldGrid, delta_x: float) -> OtfGrid:
     return cross_shift_otf(field, 0.0, delta_x)
 
 
-def build_stack(field: FieldGrid, geometry: ScanGeometry, dedup_cross: bool = False) -> OtfStack:
-    """Assemble the K x N measurement matrix, one vectorized channel per column.
-
-    For cross-shift geometries with ``dedup_cross``, channels equivalent
-    under joint translation (equal detector-minus-illumination shift) are
-    collapsed to their first representative.  Off by default: the focal
-    mask is not translation invariant, so equivalent channels still weight
-    the objective differently.
-    """
+def build_stack(field: FieldGrid, geometry: ScanGeometry) -> OtfStack:
+    """Assemble the K x N measurement matrix, one vectorized channel per column."""
     channels = geometry.channels
-    if dedup_cross and geometry.kind == LINE_CROSS_SHIFT:
-        seen = set()
-        kept = []
-        for ch in channels:
-            key = round(ch[1] - ch[0], 12)
-            if key not in seen:
-                seen.add(key)
-                kept.append(ch)
-        channels = kept
     first = _make_otf(field, geometry.kind, channels[0])
     axes = first.axes
     k = first.values.size

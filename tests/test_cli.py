@@ -130,6 +130,22 @@ def test_field_cache_reused(tmp_path, monkeypatch):
     assert main(["--config", str(config), "--out", str(out), "--no-cache", "field"]) == 3
 
 
+def test_corrupt_field_cache_recomputed(tmp_path, capsys):
+    config = write_config(tmp_path)
+    out = tmp_path / "out"
+    assert main(["--config", str(config), "--out", str(out), "field"]) == 0
+    profile = (out / "radial_profile.csv").read_bytes()
+    (cache_file,) = (out / "cache").glob("field-*.bin")
+    intact = cache_file.read_bytes()
+    cache_file.write_bytes(intact[: len(intact) - 5])
+    capsys.readouterr()
+    assert main(["--config", str(config), "--out", str(out), "field"]) == 0
+    assert "recomputing" in capsys.readouterr().err
+    assert (out / "radial_profile.csv").read_bytes() == profile
+    assert cache_file.read_bytes() == intact  # rewritten whole
+    assert sorted(p.name for p in (out / "cache").iterdir()) == [cache_file.name]
+
+
 def test_no_cache_writes_nothing(tmp_path):
     config = write_config(tmp_path)
     out = tmp_path / "out"

@@ -32,26 +32,33 @@ def test_single_channel_improvement_is_unity():
     assert abs(abs(result.coefficients[0]) - 1.0) < 1e-12
 
 
+def _with_duplicate(t):
+    """The same stack plus a copy of its second column: rank N - 1 of N."""
+    return np.column_stack([t, t[:, 1]])
+
+
 def test_scale_invariance():
     rng = np.random.default_rng(11)
     t = np.abs(rng.standard_normal((60, 4))) + 0.01
     mask = _toy_mask(rng.random(60) < 0.3)
-    base = cotf.solve(_toy_stack(t), mask)
-    scaled = cotf.solve(_toy_stack(1000.0 * t), mask)
-    assert np.isclose(base.objective, scaled.objective, rtol=1e-10)
-    assert np.allclose(base.coefficients, scaled.coefficients, atol=1e-10)
-    assert base.rank_used == scaled.rank_used
+    for columns in (t, _with_duplicate(t)):
+        base = cotf.solve(_toy_stack(columns), mask)
+        scaled = cotf.solve(_toy_stack(1000.0 * columns), mask)
+        assert np.isclose(base.objective, scaled.objective, rtol=1e-10)
+        assert np.allclose(base.coefficients, scaled.coefficients, atol=1e-10)
+        assert base.rank_used == scaled.rank_used == base.numerical_rank == 4
 
 
 def test_permutation_equivariance():
     rng = np.random.default_rng(13)
     t = np.abs(rng.standard_normal((50, 5))) + 0.01
     mask = _toy_mask(rng.random(50) < 0.3)
-    base = cotf.solve(_toy_stack(t), mask)
-    perm = [0, 3, 1, 4, 2]  # keep the pinhole column first
-    permuted = cotf.solve(_toy_stack(t[:, perm]), mask)
-    assert np.isclose(base.objective, permuted.objective, rtol=1e-10)
-    assert np.allclose(base.coefficients[perm], permuted.coefficients, atol=1e-8)
+    for columns, perm in ((t, [0, 3, 1, 4, 2]), (_with_duplicate(t), [0, 5, 3, 1, 4, 2])):
+        base = cotf.solve(_toy_stack(columns), mask)  # perm keeps the pinhole first
+        permuted = cotf.solve(_toy_stack(columns[:, perm]), mask)
+        assert np.isclose(base.objective, permuted.objective, rtol=1e-10)
+        assert np.allclose(base.coefficients[perm], permuted.coefficients, atol=1e-8)
+        assert base.rank_used == permuted.rank_used == base.numerical_rank == 5
 
 
 def test_objective_dominates_random_quotients(line_stack, line_mask, line_sweep):
@@ -94,7 +101,16 @@ def test_frozen_cross_sweep(cross_sweep):
     expected = {None: 55.3748, 40.0: 53.9524, 30.0: 49.5380, 20.0: 37.8237, 10.0: 8.8167}
     for db, value in expected.items():
         assert np.isclose(by_db[db], value, rtol=1e-4), (db, by_db[db])
-    assert [r.rank_used for r in cross_sweep] == [63, 43, 29, 19, 8]
+    # 63 channels, but ten singular values sit ~161 dB down: numerically null.
+    assert [r.rank_used for r in cross_sweep] == [53, 43, 29, 19, 8]
+    assert {r.numerical_rank for r in cross_sweep} == {53}
+
+
+def test_cross_sweep_above_spectral_gap(cross_stack, cross_mask):
+    """Levels above the 46.8 dB gap keep every resolved direction, no more."""
+    results = cotf.truncation_sweep(cross_stack, cross_mask, [100.0, 40.0])
+    assert [r.rank_used for r in results] == [53, 53, 43]
+    assert results[1].objective == results[0].objective
 
 
 def test_frozen_conventional_objective(point_stack, point_mask):
@@ -190,6 +206,16 @@ class _AlwaysEmptyPolicy(cotf.TruncationPolicy):
         return np.zeros(singular_values.size, dtype=bool)
 
 
+def test_singular_out_of_focus_gram_raises():
+    # The second channel has no out-of-focus weight, so B is singular on the
+    # full (numerically resolved) subspace: reported, never regularized away.
+    t = np.zeros((4, 2))
+    t[:, 0] = 1.0
+    t[0, 1] = 1.0
+    with pytest.raises(cotf.NumericalError, match="singular"):
+        cotf.solve(_toy_stack(t), _toy_mask([1, 0, 0, 0]))
+
+
 def test_degenerate_conventional_errors():
     t = np.zeros((4, 2))
     t[0, 0] = 1.0  # pinhole weight only on the focal node
@@ -250,6 +276,7 @@ def test_result_serialization(point_sweep):
     text = json.dumps(payload)
     parsed = json.loads(text)
     assert parsed["rank_used"] == 14
+    assert parsed["numerical_rank"] == 25
     assert parsed["policy"] == {"threshold_db": 20.0, "convention": "power"}
     assert len(parsed["coefficients"]) == 25
     assert parsed["pinhole_excluded"] is False

@@ -131,14 +131,6 @@ def test_default_stack_counts(point_stack, line_stack, cross_stack):
     assert cross_stack.grid_shape == (49, 97)
 
 
-def test_dedup_cross_collapses_equivalent_channels(default_field):
-    stack = cotf.build_stack(default_field, cotf.DEFAULT_CROSS_GEOMETRY, dedup_cross=True)
-    assert stack.channel_count == 21
-    diffs = [round(ch[1] - ch[0], 12) for ch in stack.channels]
-    assert len(set(diffs)) == len(diffs)
-    assert stack.channels[0] == (0.0, 0.0)
-
-
 def test_origin_node_matches_grid_center(point_stack):
     origin = point_stack.origin_node()
     shaped = point_stack.columns[:, 0].reshape(point_stack.grid_shape)
