@@ -15,16 +15,11 @@ INI configuration files.
 """
 from .analysis import (
     DefocusCurve,
-    SampleObject,
     ShiftPowerCurve,
-    apply_cotf_to_object,
     defocus_curve,
     na_sweep,
-    point_object,
     power_vs_shift,
     reshape_node_vector,
-    two_plane_object,
-    uniform_object,
     zero_channel_grid,
 )
 from .debye import (
@@ -62,7 +57,6 @@ from .otf import (
     cross_shift_otf,
     line_array_geometry,
     line_focus,
-    line_otf,
     point_grid_geometry,
     point_otf,
 )
@@ -93,13 +87,11 @@ __all__ = [
     "OtfStack",
     "POWER",
     "RegionMask",
-    "SampleObject",
     "ScanGeometry",
     "ShiftPowerCurve",
     "TruncationPolicy",
     "WAVELENGTH",
     "aperture_quadrature",
-    "apply_cotf_to_object",
     "build_stack",
     "conventional_objective",
     "cross_shift_geometry",
@@ -110,13 +102,11 @@ __all__ = [
     "first_null_distance",
     "line_array_geometry",
     "line_focus",
-    "line_otf",
     "load_field",
     "mainlobe_mask",
     "mainlobe_radii",
     "na_sweep",
     "point_grid_geometry",
-    "point_object",
     "point_otf",
     "power_vs_shift",
     "radial_profile",
@@ -124,7 +114,5 @@ __all__ = [
     "simulate_field",
     "solve",
     "truncation_sweep",
-    "two_plane_object",
-    "uniform_object",
     "zero_channel_grid",
 ]

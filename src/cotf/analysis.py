@@ -1,5 +1,5 @@
 """Derived figures of merit: defocus rejection, shift sweeps, aperture
-sweeps, and synthetic-object imaging.
+sweeps, sections, and their CSV emitters.
 
 Everything here consumes the measurement stack and a coefficient vector;
 nothing feeds back into the optimizer.  Plane sums follow the convention
@@ -16,7 +16,7 @@ import numpy as np
 
 from .debye import DEFAULT_GRID, ApertureSpec, FieldGrid, GridSpec, simulate_field
 from .optimizer import CombinationResult, TruncationPolicy, solve
-from .otf import OtfGrid, OtfStack, ScanGeometry, _index_offset, _shifted, build_stack, point_otf
+from .otf import OtfGrid, OtfStack, ScanGeometry, build_stack, point_otf
 from .regions import RegionMask, mainlobe_mask
 
 
@@ -95,71 +95,6 @@ def power_vs_shift(field: FieldGrid, mask: RegionMask, shifts: Sequence[float]) 
 
 
 # ---------------------------------------------------------------------------
-# synthetic objects
-
-@dataclass(frozen=True)
-class SampleObject:
-    """Non-negative intensity distribution on the computation grid."""
-
-    axes: tuple
-    intensity: np.ndarray
-
-    def __post_init__(self):
-        shape = tuple(a.size for a in self.axes)
-        if self.intensity.shape != shape:
-            raise ValueError(f"intensity shape {self.intensity.shape} != grid shape {shape}")
-        if not np.all(np.isfinite(self.intensity)):
-            raise ValueError("intensity contains NaN or Inf")
-        if self.intensity.min() < 0:
-            raise ValueError("intensity must be non-negative")
-
-
-def point_object(axes: tuple, position: tuple | None = None) -> SampleObject:
-    """Unit point emitter at the grid node nearest ``position`` (default origin)."""
-    if position is None:
-        position = (0.0,) * len(axes)
-    index = tuple(
-        _index_offset(p, ax, name) + ax.size // 2
-        for p, ax, name in zip(position, axes, ("x", "y", "z"))
-    )
-    intensity = np.zeros(tuple(a.size for a in axes))
-    intensity[index] = 1.0
-    return SampleObject(axes=axes, intensity=intensity)
-
-
-def uniform_object(axes: tuple, value: float = 1.0) -> SampleObject:
-    return SampleObject(axes=axes, intensity=np.full(tuple(a.size for a in axes), float(value)))
-
-
-def two_plane_object(axes: tuple, depth: float, secondary: float = 1.0) -> SampleObject:
-    """Unit plane at z = 0 plus a ``secondary``-weight plane at z = depth."""
-    z = axes[-1]
-    iz = _index_offset(depth, z, "z") + z.size // 2
-    intensity = np.zeros(tuple(a.size for a in axes))
-    intensity[..., z.size // 2] = 1.0
-    intensity[..., iz] += float(secondary)
-    return SampleObject(axes=axes, intensity=intensity)
-
-
-def apply_cotf_to_object(cotf_values: np.ndarray, sample: SampleObject, scan_shifts) -> np.ndarray:
-    """Image the sample: value at scan position d is sum_r cotf(r) I(r - d).
-
-    Shifts must be integer multiples of the grid step; intensity is zero
-    outside the grid.
-    """
-    if cotf_values.shape != sample.intensity.shape:
-        raise ValueError("transfer function and sample live on different grids")
-    names = ("x", "y", "z")[: len(sample.axes)]
-    out = np.empty(len(scan_shifts))
-    for n, shift in enumerate(scan_shifts):
-        offsets = tuple(
-            -_index_offset(s, ax, nm) for s, ax, nm in zip(shift, sample.axes, names)
-        )
-        out[n] = float(np.sum(cotf_values * _shifted(sample.intensity, offsets)))
-    return out
-
-
-# ---------------------------------------------------------------------------
 # aperture sweep
 
 def na_sweep(
@@ -170,7 +105,6 @@ def na_sweep(
     grid: GridSpec | None = None,
     n_theta: int = 64,
     n_phi: int = 128,
-    backend: str | None = None,
 ) -> list:
     """Full pipeline per aperture half-angle (radians): field, stack, mask,
     one solve per policy.  Returns one row dict per half-angle."""
@@ -178,7 +112,7 @@ def na_sweep(
     rows = []
     for alpha in half_angles:
         aperture = ApertureSpec(half_angle=float(alpha), n_theta=n_theta, n_phi=n_phi)
-        field = simulate_field(aperture, grid, backend=backend)
+        field = simulate_field(aperture, grid)
         stack = build_stack(field, geometry)
         mask = mask_builder(zero_channel_grid(stack))
         results = [solve(stack, mask, p) for p in policies]

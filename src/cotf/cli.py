@@ -19,8 +19,6 @@ import sys
 from dataclasses import dataclass, replace
 from pathlib import Path
 
-import numpy as np
-
 from . import analysis, debye, optimizer, otf, regions
 
 FIGURE_IDS = tuple(range(1, 14))
@@ -49,7 +47,7 @@ _SCHEMA = {
     },
     "mask": {"kind", "depth_wavelengths"},
     "policies": {"levels"},
-    "outputs": {"directory", "cache", "normalize_columns", "db_convention"},
+    "outputs": {"directory", "cache", "db_convention"},
 }
 
 _GEOMETRY_KINDS = ("point", "line", "cross")
@@ -69,7 +67,6 @@ class RunConfig:
     levels: tuple = (None, 30.0, 20.0, 10.0)
     directory: str = "out"
     cache: bool = True
-    normalize_columns: bool = False
     convention: str = optimizer.POWER
 
     def field_key(self) -> str:
@@ -125,6 +122,8 @@ def _parse_levels(raw: str) -> tuple:
         levels.append(None if token.lower() == "none" else float(token))
     if not levels:
         raise ValueError("at least one level required")
+    if len(set(levels)) != len(levels):
+        raise ValueError("levels must not repeat")
     return tuple(levels)
 
 
@@ -158,7 +157,6 @@ def load_config(path: str | None) -> RunConfig:
     levels = _get(parser, "policies", "levels", _parse_levels, (None, 30.0, 20.0, 10.0))
     directory = _get(parser, "outputs", "directory", str, "out")
     cache = _get(parser, "outputs", "cache", _parse_bool, True)
-    normalize = _get(parser, "outputs", "normalize_columns", _parse_bool, False)
     convention = _get(parser, "outputs", "db_convention", str, optimizer.POWER)
 
     try:
@@ -193,7 +191,6 @@ def load_config(path: str | None) -> RunConfig:
         levels=levels,
         directory=directory,
         cache=cache,
-        normalize_columns=normalize,
         convention=convention,
     )
 
@@ -254,17 +251,7 @@ class Runner:
 
     def stack(self) -> otf.OtfStack:
         if self._stack is None:
-            stack = otf.build_stack(self.field(), self.cfg.geometry)
-            if self.cfg.normalize_columns:
-                peaks = stack.columns.max(axis=0)
-                if np.any(peaks <= 0):
-                    raise optimizer.NumericalError(
-                        "cannot normalize: a channel has no positive weight"
-                    )
-                stack = otf.OtfStack(
-                    axes=stack.axes, columns=stack.columns / peaks, channels=stack.channels
-                )
-            self._stack = stack
+            self._stack = otf.build_stack(self.field(), self.cfg.geometry)
         return self._stack
 
     def mask(self) -> regions.RegionMask:
@@ -542,7 +529,6 @@ def build_parser() -> argparse.ArgumentParser:
     )
     parser.add_argument("--config", help="INI configuration file")
     parser.add_argument("--out", help="output directory (overrides the config)")
-    parser.add_argument("--threads", type=int, help="worker thread count for the field kernel")
     parser.add_argument("--no-cache", action="store_true", help="disable the field cache")
     sub = parser.add_subparsers(dest="command", required=True)
     sub.add_parser("field", help="simulate and store the focal field")
@@ -558,24 +544,10 @@ def build_parser() -> argparse.ArgumentParser:
     return parser
 
 
-def _configure_threads(threads: int | None) -> None:
-    if threads is None:
-        return
-    if threads < 1:
-        raise ConfigError(f"--threads must be >= 1, got {threads}")
-    try:
-        import numba
-
-        numba.set_num_threads(threads)
-    except ImportError:
-        pass  # pure-numpy backend ignores the thread count
-
-
 def main(argv=None) -> int:
     parser = build_parser()
     args = parser.parse_args(argv)
     try:
-        _configure_threads(args.threads)
         cfg = load_config(args.config)
     except ConfigError as exc:
         print(f"config error: {exc}", file=sys.stderr)

@@ -5,7 +5,8 @@ solid-angle cone (half-angle alpha), weighted by the sine-condition
 apodization sqrt(cos theta).  All lengths are in wavelengths (lambda = 1,
 k = 2 pi).  The polar integral uses Gauss-Legendre nodes; the azimuthal
 integral uses a uniform (midpoint) rule, which is spectrally accurate for
-the periodic integrand.
+the periodic integrand.  The quadrature sum is reduced in one fixed order
+with no BLAS call, so the field is bit-identical run to run.
 """
 from __future__ import annotations
 
@@ -14,8 +15,6 @@ import os
 from dataclasses import dataclass
 
 import numpy as np
-
-from . import _backend
 
 WAVELENGTH = 1.0
 K = 2.0 * np.pi
@@ -140,22 +139,41 @@ def simulate_field(
     aperture: ApertureSpec,
     grid: GridSpec,
     node_budget: int = DEFAULT_NODE_BUDGET,
-    backend: str | None = None,
 ) -> FieldGrid:
     """Integrate the aperture plane-wave superposition over the grid.
 
     Deterministic for fixed inputs: the quadrature reduction order per node
-    is fixed and independent of any parallel partitioning.
+    is fixed.
     """
     if grid.node_count > node_budget:
         raise MemoryError(
             f"grid has {grid.node_count} nodes, exceeding the budget of {node_budget}"
         )
     theta, weights, phi = aperture_quadrature(aperture)
-    acc = _backend.accumulate_field(
-        grid.axis("x"), grid.axis("y"), grid.axis("z"), theta, weights, phi, K, backend
-    )
+    acc = _accumulate(grid.axis("x"), grid.axis("y"), grid.axis("z"), theta, weights, phi)
     return FieldGrid(spec=grid, samples=(1j / WAVELENGTH) * acc)
+
+
+def _accumulate(x, y, z, theta, weights, phi) -> np.ndarray:
+    """sum_theta sum_phi w(theta) e^{-i k s.r} on the tensor grid, before
+    the overall prefactor.
+
+    Theta outer, phi summed first, then the axial phasor applied.  Kept out
+    of simulate_field so its temporaries are freed before the final scaling.
+    """
+    kst = K * np.sin(theta)
+    cos_phi = np.cos(phi)
+    sin_phi = np.sin(phi)
+    zph = np.exp(-1j * K * np.cos(theta)[:, None] * z[None, :])
+    out = np.zeros((x.size, y.size, z.size), dtype=np.complex128)
+    for it in range(kst.size):
+        phase = -kst[it] * (
+            x[:, None, None] * cos_phi[None, None, :]
+            + y[None, :, None] * sin_phi[None, None, :]
+        )
+        p = np.exp(1j * phase).sum(axis=-1)
+        out += (weights[it] * p)[:, :, None] * zph[it][None, None, :]
+    return out
 
 
 def radial_profile(field: FieldGrid, z: float):
@@ -222,6 +240,9 @@ def load_field(path) -> FieldGrid:
                 break
         if keys.get("format") != _MAGIC:
             raise ValueError(f"not a field cache file: {path}")
+        missing = [f"{w}_{n}" for w in ("extent", "step") for n in "xyz" if f"{w}_{n}" not in keys]
+        if missing:
+            raise ValueError(f"field file header lacks {', '.join(missing)}: {path}")
         spec = GridSpec(*(float(keys[f"extent_{n}"]) for n in "xyz"),
                         *(float(keys[f"step_{n}"]) for n in "xyz"))
         raw = np.frombuffer(fh.read(), dtype="<f8")

@@ -239,12 +239,6 @@ def cross_shift_otf(field: FieldGrid, delta_illum: float, delta_det: float) -> O
     return OtfGrid(axes=(xs, zs), values=values, channel=(float(delta_illum), float(delta_det)))
 
 
-def line_otf(field: FieldGrid, delta_x: float) -> OtfGrid:
-    """Line-detector channel: illumination line on axis, detection line at
-    delta_x.  Identical to cross_shift_otf with zero illumination shift."""
-    return cross_shift_otf(field, 0.0, delta_x)
-
-
 def build_stack(field: FieldGrid, geometry: ScanGeometry) -> OtfStack:
     """Assemble the K x N measurement matrix, one vectorized channel per column."""
     channels = geometry.channels
@@ -266,17 +260,6 @@ def _make_otf(field: FieldGrid, kind: str, channel) -> OtfGrid:
 
 # ---------------------------------------------------------------------------
 # exports
-
-def export_otf_csv(otf: OtfGrid, path) -> None:
-    """One row per node: coordinates then value."""
-    names = ("x", "y", "z") if len(otf.axes) == 3 else ("x", "z")
-    grids = np.meshgrid(*otf.axes, indexing="ij")
-    with open(path, "w", newline="") as fh:
-        fh.write(",".join(names) + ",value\n")
-        cols = [g.ravel() for g in grids] + [otf.values.ravel()]
-        for row in zip(*cols):
-            fh.write(",".join(f"{v:.17g}" for v in row) + "\n")
-
 
 def export_stack_metadata(stack: OtfStack, path) -> None:
     """JSON sidecar listing channels in column order."""

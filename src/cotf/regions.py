@@ -121,14 +121,3 @@ def _require_zero_channel(reference_otf: OtfGrid) -> None:
     if any(abs(v) > 1e-12 for v in flat):
         raise ValueError(f"mainlobe mask requires the zero-shift OTF, got channel {ch}")
 
-
-def export_mask_csv(mask: RegionMask, path) -> None:
-    """One row per node: coordinates then 0/1 focal flag."""
-    names = ("x", "y", "z") if len(mask.axes) == 3 else ("x", "z")
-    grids = np.meshgrid(*mask.axes, indexing="ij")
-    with open(path, "w", newline="") as fh:
-        fh.write(",".join(names) + ",focal\n")
-        cols = [g.ravel() for g in grids] + [mask.focal]
-        for row in zip(*cols):
-            coords = ",".join(f"{v:.17g}" for v in row[:-1])
-            fh.write(f"{coords},{int(row[-1])}\n")

@@ -13,7 +13,6 @@ from pathlib import Path
 import numpy as np
 
 import cotf
-from cotf._backend import HAVE_NUMBA
 from cotf.cli import main
 
 GOLDEN_DIR = Path(__file__).parent / "golden"
@@ -143,7 +142,7 @@ def test_criterion_07_field_properties():
     )
 
 
-def test_criterion_08_shift_power_golden(tmp_path, monkeypatch, default_field, point_mask):
+def test_criterion_08_shift_power_golden(tmp_path, default_field, point_mask):
     shifts = [0.25 * i for i in range(13)]
     curve = cotf.power_vs_shift(default_field, point_mask, shifts)
     mainlobe_radius = 0.625
@@ -151,8 +150,6 @@ def test_criterion_08_shift_power_golden(tmp_path, monkeypatch, default_field, p
     assert np.all(np.diff(beyond) < 0)
     assert curve.out_of_focus[-1] > curve.focal[-1]
 
-    if HAVE_NUMBA:  # pin the backend the golden file was generated with
-        monkeypatch.setenv("COTF_BACKEND", "numba")
     out1, out2 = tmp_path / "a", tmp_path / "b"
     for out in (out1, out2):
         rc = main(["--out", str(out), "--no-cache", "reproduce", "2"])
@@ -160,9 +157,10 @@ def test_criterion_08_shift_power_golden(tmp_path, monkeypatch, default_field, p
     first = (out1 / "fig02_power_vs_shift.csv").read_bytes()
     second = (out2 / "fig02_power_vs_shift.csv").read_bytes()
     assert first == second
-    if HAVE_NUMBA:
-        assert first == (GOLDEN_DIR / "fig2.csv").read_bytes()
-    print("criterion 8: PASS (focal curve falls past the mainlobe, golden CSV bit-exact)")
+    got = np.loadtxt(out1 / "fig02_power_vs_shift.csv", delimiter=",", skiprows=1)
+    golden = np.loadtxt(GOLDEN_DIR / "fig2.csv", delimiter=",", skiprows=1)
+    np.testing.assert_allclose(got, golden, rtol=1e-12, atol=0)
+    print("criterion 8: PASS (focal curve falls past the mainlobe, golden CSV to 1e-12, repeat bit-exact)")
 
 
 def test_criterion_09_coefficient_structure(point_sweep, line_sweep, point_stack, line_stack):

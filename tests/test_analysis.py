@@ -1,5 +1,5 @@
-"""Analysis tests: defocus curves, shift power, synthetic-object imaging,
-aperture sweep, and CSV emitters."""
+"""Analysis tests: defocus curves, shift power, aperture sweep, sections,
+and CSV emitters."""
 import csv
 import math
 
@@ -62,68 +62,6 @@ def test_shift_power_properties(default_field, point_mask):
     assert curve.out_of_focus[-1] > curve.focal[-1]
     beyond = curve.focal[curve.shifts >= 0.625]
     assert np.all(np.diff(beyond) <= 1e-12 * beyond[0])
-
-
-def test_point_object_sift(point_stack, point_20db):
-    axes = point_stack.axes
-    shaped = analysis.reshape_node_vector(point_stack, point_20db.cotf)
-    sample = cotf.point_object(axes)
-    shift = (0.25, 0.0, -0.5)
-    image = cotf.apply_cotf_to_object(shaped, sample, [shift])
-    ix, iy, iz = (a.size // 2 for a in axes)
-    assert np.isclose(image[0], shaped[ix + 2, iy, iz - 4], rtol=1e-12)
-
-
-def test_uniform_object_zero_shift(point_stack, point_20db):
-    shaped = analysis.reshape_node_vector(point_stack, point_20db.cotf)
-    sample = cotf.uniform_object(point_stack.axes, value=2.0)
-    image = cotf.apply_cotf_to_object(shaped, sample, [(0.0, 0.0, 0.0)])
-    assert np.isclose(image[0], 2.0 * shaped.sum(), rtol=1e-12)
-
-
-def test_imaging_linearity(point_stack, point_20db):
-    axes = point_stack.axes
-    shaped = analysis.reshape_node_vector(point_stack, point_20db.cotf)
-    a = cotf.point_object(axes, (0.25, 0.0, 0.0))
-    b = cotf.uniform_object(axes, value=0.5)
-    combined = cotf.SampleObject(axes=axes, intensity=3.0 * a.intensity + b.intensity)
-    shifts = [(0.0, 0.0, 0.0), (0.0, 0.25, 0.5)]
-    lhs = cotf.apply_cotf_to_object(shaped, combined, shifts)
-    rhs = 3.0 * cotf.apply_cotf_to_object(shaped, a, shifts) + cotf.apply_cotf_to_object(
-        shaped, b, shifts
-    )
-    assert np.allclose(lhs, rhs, rtol=1e-12)
-
-
-def test_two_plane_contrast(point_stack, point_20db):
-    """The optimized combination suppresses a plane at z = 2 better than the
-    conventional channel, relative to each one's focal response."""
-    axes = point_stack.axes
-    conventional = analysis.reshape_node_vector(point_stack, point_stack.columns[:, 0])
-    combined = analysis.reshape_node_vector(point_stack, point_20db.cotf)
-    both = cotf.two_plane_object(axes, depth=2.0)
-    focal_only = cotf.two_plane_object(axes, depth=2.0, secondary=0.0)
-    at_origin = [(0.0, 0.0, 0.0)]
-
-    conv_both = cotf.apply_cotf_to_object(conventional, both, at_origin)[0]
-    conv_focal = cotf.apply_cotf_to_object(conventional, focal_only, at_origin)[0]
-    comb_both = cotf.apply_cotf_to_object(combined, both, at_origin)[0]
-    comb_focal = cotf.apply_cotf_to_object(combined, focal_only, at_origin)[0]
-
-    conv_contamination = (conv_both - conv_focal) / conv_focal
-    comb_contamination = abs(comb_both - comb_focal) / comb_focal
-    assert comb_contamination < conv_contamination
-
-
-def test_sample_object_validation(point_stack):
-    axes = point_stack.axes
-    good = np.ones(tuple(a.size for a in axes))
-    with pytest.raises(ValueError, match="shape"):
-        cotf.SampleObject(axes=axes, intensity=good[:-1])
-    with pytest.raises(ValueError, match="non-negative"):
-        cotf.SampleObject(axes=axes, intensity=-good)
-    with pytest.raises(ValueError, match="different grids"):
-        cotf.apply_cotf_to_object(good[:-1], cotf.uniform_object(axes), [(0.0, 0.0, 0.0)])
 
 
 def test_na_sweep_frozen_row():

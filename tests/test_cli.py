@@ -68,9 +68,14 @@ def test_unknown_section_is_config_error(tmp_path, capsys):
 
 
 def test_bad_value_is_config_error(tmp_path, capsys):
-    config = write_config(tmp_path, {"aperture": {"half_angle_deg": "95"}})
-    assert main(["--config", str(config), "field"]) == 2
-    assert "half_angle" in capsys.readouterr().err
+    for override, message in (
+        ({"aperture": {"half_angle_deg": "95"}}, "half_angle"),
+        ({"policies": {"levels": "none, none"}}, "repeat"),
+        ({"policies": {"levels": "none, 20, 20"}}, "repeat"),
+    ):
+        config = write_config(tmp_path, override)
+        assert main(["--config", str(config), "field"]) == 2
+        assert message in capsys.readouterr().err
 
 
 def test_unparseable_value_names_key(tmp_path, capsys):
@@ -105,13 +110,6 @@ def test_runtime_failure_maps_to_exit_3(tmp_path, capsys):
     assert "extent" in capsys.readouterr().err
 
 
-def test_threads_flag(tmp_path):
-    config = write_config(tmp_path)
-    out = tmp_path / "out"
-    assert main(["--threads", "1", "--config", str(config), "--out", str(out), "field"]) == 0
-    assert main(["--threads", "0", "--config", str(config), "--out", str(out), "field"]) == 2
-
-
 def test_field_cache_reused(tmp_path, monkeypatch):
     config = write_config(tmp_path)
     out = tmp_path / "out"
@@ -137,13 +135,16 @@ def test_corrupt_field_cache_recomputed(tmp_path, capsys):
     profile = (out / "radial_profile.csv").read_bytes()
     (cache_file,) = (out / "cache").glob("field-*.bin")
     intact = cache_file.read_bytes()
-    cache_file.write_bytes(intact[: len(intact) - 5])
-    capsys.readouterr()
-    assert main(["--config", str(config), "--out", str(out), "field"]) == 0
-    assert "recomputing" in capsys.readouterr().err
-    assert (out / "radial_profile.csv").read_bytes() == profile
-    assert cache_file.read_bytes() == intact  # rewritten whole
-    assert sorted(p.name for p in (out / "cache").iterdir()) == [cache_file.name]
+    truncated = intact[: len(intact) - 5]
+    no_step_z = intact.replace(b"step_z=0.25\n", b"", 1)
+    for corrupt in (truncated, no_step_z):
+        cache_file.write_bytes(corrupt)
+        capsys.readouterr()
+        assert main(["--config", str(config), "--out", str(out), "field"]) == 0
+        assert "recomputing" in capsys.readouterr().err
+        assert (out / "radial_profile.csv").read_bytes() == profile
+        assert cache_file.read_bytes() == intact  # rewritten whole
+        assert sorted(p.name for p in (out / "cache").iterdir()) == [cache_file.name]
 
 
 def test_no_cache_writes_nothing(tmp_path):
@@ -197,16 +198,6 @@ def test_reproduce_rejects_unknown_figure(tmp_path, capsys):
     with pytest.raises(SystemExit) as excinfo:
         main(["--config", str(config), "reproduce", "99"])
     assert excinfo.value.code == 2
-
-
-def test_normalize_columns_path(tmp_path):
-    config = write_config(tmp_path, {"outputs": {"normalize_columns": "true"}})
-    out = tmp_path / "out"
-    assert main(["--config", str(config), "--out", str(out), "optimize"]) == 0
-    untruncated = json.loads((out / "combination_none.json").read_text())
-    assert untruncated["improvement_factor"] >= 1.0 - 1e-12
-    payload = json.loads((out / "combination_20db.json").read_text())
-    assert payload["policy"]["convention"] == "power"
 
 
 def test_db_convention_option(tmp_path, capsys):

@@ -1,10 +1,9 @@
 """Field-simulation tests: frozen reference values, symmetries, quadrature
-convergence, backend behaviour, and the binary dump format."""
+convergence, bit determinism, and the binary dump format."""
 import numpy as np
 import pytest
 
 import cotf
-from cotf._backend import HAVE_NUMBA
 
 # |U| at (transverse radius rho, depth z), alpha = 60 deg, independently
 # computed with adaptive 1D quadrature on the radially-reduced integral.
@@ -79,28 +78,6 @@ def test_bit_determinism(small_field):
     )
 
 
-@pytest.mark.skipif(not HAVE_NUMBA, reason="numba not installed")
-def test_backend_agreement():
-    grid = cotf.GridSpec(1.0, 1.0, 2.0, 0.25, 0.25, 0.25)
-    f_nb = cotf.simulate_field(cotf.DEFAULT_APERTURE, grid, backend="numba")
-    f_np = cotf.simulate_field(cotf.DEFAULT_APERTURE, grid, backend="numpy")
-    scale = np.max(np.abs(f_nb.samples))
-    assert np.max(np.abs(f_nb.samples - f_np.samples)) < 1e-12 * scale
-
-
-def test_backend_env_flag(monkeypatch):
-    grid = cotf.GridSpec(1.0, 1.0, 2.0, 0.5, 0.5, 0.5)
-    explicit = cotf.simulate_field(cotf.DEFAULT_APERTURE, grid, backend="numpy")
-    monkeypatch.setenv("COTF_BACKEND", "numpy")
-    via_env = cotf.simulate_field(cotf.DEFAULT_APERTURE, grid)
-    assert np.array_equal(
-        explicit.samples.view(np.float64), via_env.samples.view(np.float64)
-    )
-    monkeypatch.setenv("COTF_BACKEND", "nonsense")
-    with pytest.raises(ValueError, match="nonsense"):
-        cotf.simulate_field(cotf.DEFAULT_APERTURE, grid)
-
-
 def test_dump_load_roundtrip(small_field, tmp_path):
     path = tmp_path / "field.bin"
     cotf.dump_field(small_field, path)
@@ -121,6 +98,9 @@ def test_load_rejects_corrupt_files(small_field, tmp_path):
     (tmp_path / "junk.bin").write_bytes(b"not=a-field\nend=1\n")
     with pytest.raises(ValueError):
         cotf.load_field(tmp_path / "junk.bin")
+    (tmp_path / "no_step_z.bin").write_bytes(data.replace(b"step_z=0.25\n", b"", 1))
+    with pytest.raises(ValueError, match="step_z"):
+        cotf.load_field(tmp_path / "no_step_z.bin")
 
 
 def test_spec_validation():

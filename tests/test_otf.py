@@ -43,12 +43,6 @@ def test_cross_shift_symmetric_in_arguments(default_field):
     assert np.array_equal(ab.values, ba.values)
 
 
-def test_line_otf_equals_zero_illum_cross(default_field):
-    line = cotf.line_otf(default_field, 0.5)
-    cross = cotf.cross_shift_otf(default_field, 0.0, 0.5)
-    assert np.array_equal(line.values, cross.values)
-
-
 def test_cross_translation_equivalence(default_field):
     """cross(a, b) is cross(0, b-a) translated by a where both are interior."""
     ca = cotf.cross_shift_otf(default_field, 0.25, 0.5)
@@ -144,17 +138,6 @@ def test_otf_grid_validation(small_field):
         otf.OtfGrid(axes=grid.axes, values=-grid.values, channel=grid.channel)
     with pytest.raises(ValueError, match="shape"):
         otf.OtfGrid(axes=grid.axes, values=grid.values[:-1], channel=grid.channel)
-
-
-def test_export_otf_csv(small_field, tmp_path):
-    grid = cotf.point_otf(small_field, (0.25, 0.0))
-    path = tmp_path / "otf.csv"
-    otf.export_otf_csv(grid, path)
-    lines = path.read_text().splitlines()
-    assert lines[0] == "x,y,z,value"
-    assert len(lines) == 1 + grid.values.size
-    first = [float(v) for v in lines[1].split(",")]
-    assert first[:3] == [grid.axes[0][0], grid.axes[1][0], grid.axes[2][0]]
 
 
 def test_export_stack_metadata(line_stack, tmp_path):

@@ -3,7 +3,6 @@ import numpy as np
 import pytest
 
 import cotf
-from cotf import regions
 
 
 def test_masks_partition_grid(point_mask, line_mask, cross_mask):
@@ -105,13 +104,3 @@ def test_region_mask_validation():
         cotf.RegionMask(axes=axes, focal=zeros, out_of_focus=ones)
     with pytest.raises(ValueError, match="shape"):
         cotf.RegionMask(axes=axes, focal=ones, out_of_focus=ones[:-1])
-
-
-def test_export_mask_csv(line_mask, tmp_path):
-    path = tmp_path / "mask.csv"
-    regions.export_mask_csv(line_mask, path)
-    lines = path.read_text().splitlines()
-    assert lines[0] == "x,z,focal"
-    assert len(lines) == 1 + line_mask.node_count
-    flags = {line.rsplit(",", 1)[1] for line in lines[1:]}
-    assert flags == {"0", "1"}
