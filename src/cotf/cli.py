@@ -2,9 +2,9 @@
 
 Subcommands cover the pipeline stages (field, otfs, optimize, analyze,
 sweep) plus ``reproduce``, which regenerates the reference figure datasets
-by number.  All artifacts land in the output directory together with a
-``manifest.json`` listing each file's SHA-256; identical configurations
-produce bit-identical artifacts.
+listed in ``FIGURES``.  All artifacts land in the output directory together
+with a ``manifest.json`` listing each file's SHA-256; identical
+configurations produce bit-identical artifacts.
 
 Exit codes: 0 success, 2 configuration error, 3 runtime/numerical failure.
 """
@@ -16,12 +16,11 @@ import hashlib
 import json
 import math
 import sys
-from dataclasses import dataclass, replace
+from dataclasses import asdict, astuple, dataclass
 from pathlib import Path
+from typing import NamedTuple
 
 from . import analysis, debye, optimizer, otf, regions
-
-FIGURE_IDS = tuple(range(1, 14))
 
 
 class ConfigError(ValueError):
@@ -29,7 +28,7 @@ class ConfigError(ValueError):
 
 
 _SCHEMA = {
-    "aperture": {"half_angle_deg", "apodization", "n_theta", "n_phi"},
+    "aperture": {"half_angle_deg", "n_theta", "n_phi"},
     "grid": {
         "extent_x_wavelengths",
         "extent_y_wavelengths",
@@ -47,7 +46,7 @@ _SCHEMA = {
     },
     "mask": {"kind", "depth_wavelengths"},
     "policies": {"levels"},
-    "outputs": {"directory", "cache", "db_convention"},
+    "outputs": {"directory", "db_convention"},
 }
 
 _GEOMETRY_KINDS = ("point", "line", "cross")
@@ -60,27 +59,16 @@ class RunConfig:
 
     aperture: debye.ApertureSpec = debye.DEFAULT_APERTURE
     grid: debye.GridSpec = debye.DEFAULT_GRID
-    geometry_kind: str = "point"
     geometry: otf.ScanGeometry = otf.DEFAULT_POINT_GEOMETRY
-    mask_kind: str = "mainlobe"
-    mask_depth: float = 0.0
+    mask_depth: float | None = None  # depth-target depth; None selects the mainlobe mask
     levels: tuple = (None, 30.0, 20.0, 10.0)
     directory: str = "out"
-    cache: bool = True
     convention: str = optimizer.POWER
 
     def field_key(self) -> str:
-        """Cache key over everything the field stage depends on."""
-        payload = {
-            "half_angle": self.aperture.half_angle,
-            "apodization": self.aperture.apodization,
-            "n_theta": self.aperture.n_theta,
-            "n_phi": self.aperture.n_phi,
-            "grid": [
-                self.grid.extent_x, self.grid.extent_y, self.grid.extent_z,
-                self.grid.step_x, self.grid.step_y, self.grid.step_z,
-            ],
-        }
+        """Cache key over every field of the aperture and grid specs, which
+        are all the field stage depends on."""
+        payload = {**asdict(self.aperture), "grid": astuple(self.grid)}
         blob = json.dumps(payload, sort_keys=True).encode("ascii")
         return hashlib.sha256(blob).hexdigest()[:16]
 
@@ -102,15 +90,6 @@ def _get(parser, section, key, cast, default):
         return cast(raw)
     except ValueError as exc:
         raise ConfigError(f"[{section}] {key} = {raw!r}: {exc}") from exc
-
-
-def _parse_bool(raw: str) -> bool:
-    lowered = raw.strip().lower()
-    if lowered in ("1", "true", "yes", "on"):
-        return True
-    if lowered in ("0", "false", "no", "off"):
-        return False
-    raise ValueError(f"expected a boolean, got {raw!r}")
 
 
 def _parse_levels(raw: str) -> tuple:
@@ -137,7 +116,6 @@ def load_config(path: str | None) -> RunConfig:
         _validate_sections(parser, path)
 
     half_angle_deg = _get(parser, "aperture", "half_angle_deg", float, 60.0)
-    apodization = _get(parser, "aperture", "apodization", str, debye.SINE_CONDITION)
     n_theta = _get(parser, "aperture", "n_theta", int, 64)
     n_phi = _get(parser, "aperture", "n_phi", int, 128)
     grid_vals = [
@@ -156,13 +134,11 @@ def load_config(path: str | None) -> RunConfig:
     mask_depth = _get(parser, "mask", "depth_wavelengths", float, None)
     levels = _get(parser, "policies", "levels", _parse_levels, (None, 30.0, 20.0, 10.0))
     directory = _get(parser, "outputs", "directory", str, "out")
-    cache = _get(parser, "outputs", "cache", _parse_bool, True)
     convention = _get(parser, "outputs", "db_convention", str, optimizer.POWER)
 
     try:
         aperture = debye.ApertureSpec(
             half_angle=math.radians(half_angle_deg),
-            apodization=apodization,
             n_theta=n_theta,
             n_phi=n_phi,
         )
@@ -184,13 +160,10 @@ def load_config(path: str | None) -> RunConfig:
     return RunConfig(
         aperture=aperture,
         grid=grid,
-        geometry_kind=geometry_kind,
         geometry=geometry,
-        mask_kind=mask_kind,
-        mask_depth=mask_depth if mask_depth is not None else 0.0,
+        mask_depth=mask_depth,
         levels=levels,
         directory=directory,
-        cache=cache,
         convention=convention,
     )
 
@@ -222,71 +195,78 @@ def _build_geometry(kind, det_count, det_pitch, illum_count, illum_pitch) -> otf
 # staged pipeline with field caching and a manifest
 
 class Runner:
+    """Pipeline stages, each built once per run and memoized under the frozen
+    spec it depends on: the field under (aperture, grid), a channel stack
+    under its ``ScanGeometry`` and that stack's mainlobe mask under
+    (geometry, "mainlobe").  Depth-target masks are built per call: holding
+    fig07's raised the peak memory of ``reproduce 1 ... 13``."""
+
     def __init__(self, cfg: RunConfig, out_dir: Path, use_cache: bool):
         self.cfg = cfg
         self.out = out_dir
-        self.use_cache = use_cache and cfg.cache
+        self.use_cache = use_cache
         self.emitted: dict[str, str] = {}
-        self._field = None
-        self._stack = None
-        self._mask = None
+        self._memo: dict = {}
         self.out.mkdir(parents=True, exist_ok=True)
+
+    def _memoized(self, key, build):
+        if key not in self._memo:
+            self._memo[key] = build()
+        return self._memo[key]
 
     # -- stages ------------------------------------------------------------
 
     def field(self) -> debye.FieldGrid:
-        if self._field is None:
-            cache_file = self.out / "cache" / f"field-{self.cfg.field_key()}.bin"
-            if self.use_cache and cache_file.exists():
-                try:
-                    self._field = debye.load_field(cache_file)
-                except ValueError as exc:
-                    print(f"warning: recomputing unreadable {cache_file}: {exc}", file=sys.stderr)
-            if self._field is None:
-                self._field = debye.simulate_field(self.cfg.aperture, self.cfg.grid)
-                if self.use_cache:
-                    cache_file.parent.mkdir(parents=True, exist_ok=True)
-                    debye.dump_field(self._field, cache_file)
-        return self._field
+        return self._memoized((self.cfg.aperture, self.cfg.grid), self._load_or_simulate_field)
 
-    def stack(self) -> otf.OtfStack:
-        if self._stack is None:
-            self._stack = otf.build_stack(self.field(), self.cfg.geometry)
-        return self._stack
+    def _load_or_simulate_field(self) -> debye.FieldGrid:
+        cache_file = self.out / "cache" / f"field-{self.cfg.field_key()}.bin"
+        if self.use_cache and cache_file.exists():
+            try:
+                return debye.load_field(cache_file)
+            except ValueError as exc:
+                print(f"warning: recomputing unreadable {cache_file}: {exc}", file=sys.stderr)
+        field = debye.simulate_field(self.cfg.aperture, self.cfg.grid)
+        if self.use_cache:
+            cache_file.parent.mkdir(parents=True, exist_ok=True)
+            debye.dump_field(field, cache_file)
+        return field
 
-    def mask(self) -> regions.RegionMask:
-        if self._mask is None:
-            reference = analysis.zero_channel_grid(self.stack())
-            if self.cfg.mask_kind == "depth_target":
-                self._mask = regions.depth_target_mask(reference, self.cfg.mask_depth)
-            else:
-                self._mask = regions.mainlobe_mask(reference)
-        return self._mask
+    def stack(self, geometry: otf.ScanGeometry) -> otf.OtfStack:
+        return self._memoized(geometry, lambda: otf.build_stack(self.field(), geometry))
+
+    def mask(self, geometry: otf.ScanGeometry, depth: float | None) -> regions.RegionMask:
+        """The stack's mainlobe mask, or its depth-target mask at ``depth``."""
+        if depth is not None:
+            return regions.depth_target_mask(analysis.zero_channel_grid(self.stack(geometry)), depth)
+        return self._memoized(
+            (geometry, "mainlobe"),
+            lambda: regions.mainlobe_mask(analysis.zero_channel_grid(self.stack(geometry))),
+        )
 
     def policy(self, db: float | None) -> optimizer.TruncationPolicy:
         return optimizer.TruncationPolicy(threshold_db=db, convention=self.cfg.convention)
 
-    def solve_levels(self, levels) -> list:
+    def sweep(self, stack, mask, levels) -> list:
+        """The untruncated result, then one per dB level, from one factorization."""
+        policies = [self.policy(db) for db in levels if db is not None]
+        return optimizer.truncation_sweep(stack, mask, policies)
+
+    def solve_levels(self, stack, mask, levels) -> list:
         """(level, result) pairs; ``none`` then strictly decreasing dB levels
         share one factorization as a truncation sweep."""
         db_levels = [db for db in levels if db is not None]
-        descending = all(
-            db_levels[i] > db_levels[i + 1] for i in range(len(db_levels) - 1)
-        )
-        if levels and levels[0] is None and descending and len(levels) > 1:
-            results = optimizer.truncation_sweep(
-                self.stack(), self.mask(), [self.policy(db) for db in db_levels]
-            )
-            return list(zip([None] + db_levels, results))
-        return [(db, optimizer.solve(self.stack(), self.mask(), self.policy(db))) for db in levels]
+        descending = all(a > b for a, b in zip(db_levels, db_levels[1:]))
+        if levels[0] is None and descending and len(levels) > 1:
+            return list(zip(levels, self.sweep(stack, mask, db_levels)))
+        return [(db, optimizer.solve(stack, mask, self.policy(db))) for db in levels]
 
     # -- emission ----------------------------------------------------------
 
     def emit(self, name: str, writer) -> Path:
         path = self.out / name
         writer(path)
-        digest = hashlib.sha256(path.read_bytes()).hexdigest()
-        self.emitted[name] = digest
+        self.emitted[name] = hashlib.sha256(path.read_bytes()).hexdigest()
         return path
 
     def emit_json(self, name: str, payload) -> Path:
@@ -299,8 +279,7 @@ class Runner:
 
     def write_manifest(self, command: str) -> None:
         manifest = {"command": command, "files": dict(sorted(self.emitted.items()))}
-        path = self.out / "manifest.json"
-        with open(path, "w") as fh:
+        with open(self.out / "manifest.json", "w") as fh:
             json.dump(manifest, fh, indent=2, sort_keys=True)
             fh.write("\n")
 
@@ -310,7 +289,12 @@ def _level_label(db: float | None) -> str:
 
 
 # ---------------------------------------------------------------------------
-# subcommand handlers
+# products: one writer each, called by the subcommands and the figures
+
+def _emit_zero_section(runner: Runner, name: str, stack: otf.OtfStack) -> None:
+    reference = analysis.zero_channel_grid(stack)
+    runner.emit(name, lambda p: analysis.export_section_csv(reference.axes, reference.values, p))
+
 
 def _emit_radial_profile(runner: Runner, name: str) -> None:
     radii, intensities = debye.radial_profile(runner.field(), 0.0)
@@ -324,6 +308,52 @@ def _emit_radial_profile(runner: Runner, name: str) -> None:
     runner.emit(name, writer)
 
 
+def _emit_shift_power(runner: Runner, name: str, mask: regions.RegionMask) -> None:
+    """Point-scan power for detector shifts 0 .. extent_x at twice the grid step."""
+    step = 2.0 * runner.cfg.grid.step_x
+    count = int(math.floor(runner.cfg.grid.extent_x / step)) + 1
+    curve = analysis.power_vs_shift(runner.field(), mask, [step * i for i in range(count)])
+    runner.emit(name, lambda p: analysis.export_shift_power_csv(curve, p))
+
+
+def _emit_coefficients(runner: Runner, name: str, stack: otf.OtfStack, result) -> None:
+    runner.emit(name, lambda p: analysis.export_coefficients_csv(stack, result, p))
+
+
+def _emit_cotf_section(runner: Runner, name: str, stack: otf.OtfStack, result) -> None:
+    shaped = analysis.reshape_node_vector(stack, result.cotf)
+    runner.emit(name, lambda p: analysis.export_section_csv(stack.axes, shaped, p))
+
+
+def _emit_defocus(runner: Runner, name: str, stack: otf.OtfStack, result) -> None:
+    curve = analysis.defocus_curve(stack, result.cotf)
+    runner.emit(name, lambda p: analysis.export_defocus_csv(curve, p))
+
+
+def _emit_sweep(runner: Runner, name: str, results: list) -> None:
+    runner.emit(name, lambda p: analysis.export_sweep_csv(results, p))
+
+
+def _emit_na_sweep(runner: Runner, name: str, geometry: otf.ScanGeometry, db: float) -> None:
+    """Improvement at ``db`` for half-angles 45-60 degrees, mainlobe mask."""
+    policies = [runner.policy(db)]
+    aperture = runner.cfg.aperture
+    rows = analysis.na_sweep(
+        [math.radians(a) for a in (45.0, 50.0, 55.0, 60.0)], geometry, policies=policies,
+        grid=runner.cfg.grid, n_theta=aperture.n_theta, n_phi=aperture.n_phi,
+    )
+    runner.emit(name, lambda p: analysis.export_na_sweep_csv(rows, policies, p))
+
+
+# ---------------------------------------------------------------------------
+# subcommand handlers: the config's geometry, mask and levels
+
+def _configured(runner: Runner) -> tuple:
+    """The config's stack and mask."""
+    geometry = runner.cfg.geometry
+    return runner.stack(geometry), runner.mask(geometry, runner.cfg.mask_depth)
+
+
 def _cmd_field(runner: Runner) -> None:
     field = runner.field()
     runner.emit("field.bin", lambda p: debye.dump_field(field, p))
@@ -331,192 +361,120 @@ def _cmd_field(runner: Runner) -> None:
 
 
 def _cmd_otfs(runner: Runner) -> None:
-    stack = runner.stack()
+    stack = runner.stack(runner.cfg.geometry)
     runner.emit("stack_meta.json", lambda p: otf.export_stack_metadata(stack, p))
-    reference = analysis.zero_channel_grid(stack)
-    runner.emit(
-        "otf0_section.csv",
-        lambda p: analysis.export_section_csv(reference.axes, reference.values, p),
-    )
+    _emit_zero_section(runner, "otf0_section.csv", stack)
 
 
 def _cmd_optimize(runner: Runner) -> None:
-    stack = runner.stack()
-    solved = runner.solve_levels(runner.cfg.levels)
+    stack, mask = _configured(runner)
+    solved = runner.solve_levels(stack, mask, runner.cfg.levels)
     for db, result in solved:
         label = _level_label(db)
         runner.emit_json(f"combination_{label}.json", result.to_json_dict())
-        runner.emit(
-            f"coefficients_{label}.csv",
-            lambda p, r=result: analysis.export_coefficients_csv(stack, r, p),
-        )
-        shaped = analysis.reshape_node_vector(stack, result.cotf)
-        runner.emit(
-            f"cotf_section_{label}.csv",
-            lambda p, v=shaped: analysis.export_section_csv(stack.axes, v, p),
-        )
+        _emit_coefficients(runner, f"coefficients_{label}.csv", stack, result)
+        _emit_cotf_section(runner, f"cotf_section_{label}.csv", stack, result)
     if len(solved) > 1:
-        results = [result for _, result in solved]
-        runner.emit("sweep.csv", lambda p: analysis.export_sweep_csv(results, p))
+        _emit_sweep(runner, "sweep.csv", [result for _, result in solved])
 
 
 def _cmd_analyze(runner: Runner) -> None:
-    stack = runner.stack()
-    for db, result in runner.solve_levels(runner.cfg.levels):
-        curve = analysis.defocus_curve(stack, result.cotf)
-        runner.emit(
-            f"defocus_{_level_label(db)}.csv",
-            lambda p, c=curve: analysis.export_defocus_csv(c, p),
-        )
-    if runner.cfg.geometry_kind == "point":
-        shifts = _shift_schedule(runner.cfg.grid)
-        curve = analysis.power_vs_shift(runner.field(), runner.mask(), shifts)
-        runner.emit("shift_power.csv", lambda p: analysis.export_shift_power_csv(curve, p))
+    stack, mask = _configured(runner)
+    for db, result in runner.solve_levels(stack, mask, runner.cfg.levels):
+        _emit_defocus(runner, f"defocus_{_level_label(db)}.csv", stack, result)
+    if runner.cfg.geometry.kind == otf.POINT_ARRAY:
+        _emit_shift_power(runner, "shift_power.csv", mask)
 
 
 def _cmd_sweep(runner: Runner) -> None:
-    db_levels = [db for db in runner.cfg.levels if db is not None]
-    results = optimizer.truncation_sweep(
-        runner.stack(), runner.mask(), [runner.policy(db) for db in db_levels]
-    )
-    runner.emit("sweep.csv", lambda p: analysis.export_sweep_csv(results, p))
+    stack, mask = _configured(runner)
+    results = runner.sweep(stack, mask, runner.cfg.levels)
+    _emit_sweep(runner, "sweep.csv", results)
     runner.emit_json("sweep.json", [r.to_json_dict() for r in results])
-
-
-def _shift_schedule(grid: debye.GridSpec) -> list:
-    """Detector shifts 0 .. extent_x at twice the grid step."""
-    step = 2.0 * grid.step_x
-    count = int(math.floor(grid.extent_x / step)) + 1
-    return [step * i for i in range(count)]
 
 
 # -- figure reproduction -----------------------------------------------------
 
-def _figure_runner(runner: Runner, kind: str) -> Runner:
-    """Figures fix their own geometry; reuse the runner unless it differs."""
-    if runner.cfg.geometry_kind == kind:
-        return runner
-    geometry = {
-        "point": otf.DEFAULT_POINT_GEOMETRY,
-        "line": otf.DEFAULT_LINE_GEOMETRY,
-        "cross": otf.DEFAULT_CROSS_GEOMETRY,
-    }[kind]
-    cfg = replace(
-        runner.cfg, geometry_kind=kind, geometry=geometry, mask_kind="mainlobe", mask_depth=0.0
-    )
-    sub = Runner(cfg, runner.out, runner.use_cache)
-    sub._field = runner._field
-    sub.emitted = runner.emitted  # share the manifest
-    return sub
+class Figure(NamedTuple):
+    """One figure dataset: the channel layout it runs on, its products as
+    ``product`` or ``product:file stem``, the dB levels they use and the depth
+    of a depth-target mask (None selects the mainlobe mask)."""
+
+    geometry: otf.ScanGeometry
+    products: tuple
+    levels: tuple = ()
+    depth: float | None = None
 
 
-def _figure_kind(figure: int) -> str:
-    if figure <= 8:
-        return "point"
-    return "line" if figure == 9 else "cross"
+_POINT = otf.DEFAULT_POINT_GEOMETRY
+_LINE = otf.DEFAULT_LINE_GEOMETRY
+_CROSS = otf.DEFAULT_CROSS_GEOMETRY
+
+#: Figures take their geometry, mask and levels from here; from the config
+#: they take only the aperture, the grid and the dB convention.  fig05/fig06
+#: and fig12/fig13 are one product each.
+FIGURES = {
+    1: Figure(_POINT, ("zero_section:section", "radial_profile:radial")),
+    2: Figure(_POINT, ("shift_power:power_vs_shift",)),
+    3: Figure(_POINT, ("coefficients",), (None, 30.0, 20.0)),
+    4: Figure(_POINT, ("cotf_section", "zero_section:conventional_section"), (20.0,)),
+    5: Figure(_POINT, ("defocus",), (20.0,)),
+    6: Figure(_POINT, ("defocus",), (20.0,)),
+    7: Figure(_POINT, ("coefficients", "cotf_section"), (20.0,), depth=1.0),
+    8: Figure(_POINT, ("na_sweep",), (20.0,)),
+    9: Figure(_LINE, ("coefficients",), (None, 10.0)),
+    10: Figure(_CROSS, ("sweep",), (40.0, 30.0, 20.0, 10.0)),
+    11: Figure(_CROSS, ("cotf_section",), (30.0,)),
+    12: Figure(_CROSS, ("defocus",), (30.0,)),
+    13: Figure(_CROSS, ("defocus",), (30.0,)),
+}
+
+# Products written once per solved level.
+_LEVEL_WRITERS = {
+    "coefficients": _emit_coefficients,
+    "cotf_section": _emit_cotf_section,
+    "defocus": _emit_defocus,
+}
 
 
-def _reproduce_figure(sub: Runner, figure: int) -> None:
-    prefix = f"fig{figure:02d}"
-    if figure == 1:
-        reference = analysis.zero_channel_grid(sub.stack())
-        sub.emit(
-            f"{prefix}_section.csv",
-            lambda p: analysis.export_section_csv(reference.axes, reference.values, p),
-        )
-        _emit_radial_profile(sub, f"{prefix}_radial.csv")
-    elif figure == 2:
-        shifts = _shift_schedule(sub.cfg.grid)
-        curve = analysis.power_vs_shift(sub.field(), sub.mask(), shifts)
-        sub.emit(f"{prefix}_power_vs_shift.csv", lambda p: analysis.export_shift_power_csv(curve, p))
-    elif figure == 3:
-        for db in (None, 30.0, 20.0):
-            result = optimizer.solve(sub.stack(), sub.mask(), sub.policy(db))
-            sub.emit(
-                f"{prefix}_coefficients_{_level_label(db)}.csv",
-                lambda p, r=result: analysis.export_coefficients_csv(sub.stack(), r, p),
-            )
-    elif figure == 4:
-        result = optimizer.solve(sub.stack(), sub.mask(), sub.policy(20.0))
-        shaped = analysis.reshape_node_vector(sub.stack(), result.cotf)
-        sub.emit(
-            f"{prefix}_cotf_section.csv",
-            lambda p: analysis.export_section_csv(sub.stack().axes, shaped, p),
-        )
-        reference = analysis.zero_channel_grid(sub.stack())
-        sub.emit(
-            f"{prefix}_conventional_section.csv",
-            lambda p: analysis.export_section_csv(reference.axes, reference.values, p),
-        )
-    elif figure in (5, 6):
-        result = optimizer.solve(sub.stack(), sub.mask(), sub.policy(20.0))
-        curve = analysis.defocus_curve(sub.stack(), result.cotf)
-        sub.emit(f"{prefix}_defocus.csv", lambda p: analysis.export_defocus_csv(curve, p))
-    elif figure == 7:
-        reference = analysis.zero_channel_grid(sub.stack())
-        mask = regions.depth_target_mask(reference, 1.0)
-        result = optimizer.solve(sub.stack(), mask, sub.policy(20.0))
-        sub.emit(
-            f"{prefix}_coefficients.csv",
-            lambda p: analysis.export_coefficients_csv(sub.stack(), result, p),
-        )
-        shaped = analysis.reshape_node_vector(sub.stack(), result.cotf)
-        sub.emit(
-            f"{prefix}_cotf_section.csv",
-            lambda p: analysis.export_section_csv(sub.stack().axes, shaped, p),
-        )
-    elif figure == 8:
-        policies = [sub.policy(20.0)]
-        rows = analysis.na_sweep(
-            [math.radians(a) for a in (45.0, 50.0, 55.0, 60.0)],
-            sub.cfg.geometry,
-            policies=policies,
-            grid=sub.cfg.grid,
-            n_theta=sub.cfg.aperture.n_theta,
-            n_phi=sub.cfg.aperture.n_phi,
-        )
-        sub.emit(f"{prefix}_na_sweep.csv", lambda p: analysis.export_na_sweep_csv(rows, policies, p))
-    elif figure == 9:
-        for db in (None, 10.0):
-            result = optimizer.solve(sub.stack(), sub.mask(), sub.policy(db))
-            sub.emit(
-                f"{prefix}_coefficients_{_level_label(db)}.csv",
-                lambda p, r=result: analysis.export_coefficients_csv(sub.stack(), r, p),
-            )
-    elif figure == 10:
-        results = optimizer.truncation_sweep(
-            sub.stack(), sub.mask(), [sub.policy(db) for db in (40.0, 30.0, 20.0, 10.0)]
-        )
-        sub.emit(f"{prefix}_sweep.csv", lambda p: analysis.export_sweep_csv(results, p))
-    elif figure == 11:
-        result = optimizer.solve(sub.stack(), sub.mask(), sub.policy(30.0))
-        shaped = analysis.reshape_node_vector(sub.stack(), result.cotf)
-        sub.emit(
-            f"{prefix}_cotf_section.csv",
-            lambda p: analysis.export_section_csv(sub.stack().axes, shaped, p),
-        )
-    elif figure in (12, 13):
-        result = optimizer.solve(sub.stack(), sub.mask(), sub.policy(30.0))
-        curve = analysis.defocus_curve(sub.stack(), result.cotf)
-        sub.emit(f"{prefix}_defocus.csv", lambda p: analysis.export_defocus_csv(curve, p))
+def _reproduce_figure(runner: Runner, figure: int) -> None:
+    geometry, products, levels, depth = FIGURES[figure]
+    solved = None
+    for entry in products:
+        product, _, stem = entry.partition(":")
+        name = f"fig{figure:02d}_{stem or product}"
+        if product == "zero_section":
+            _emit_zero_section(runner, f"{name}.csv", runner.stack(geometry))
+        elif product == "radial_profile":
+            _emit_radial_profile(runner, f"{name}.csv")
+        elif product == "shift_power":
+            _emit_shift_power(runner, f"{name}.csv", runner.mask(geometry, depth))
+        elif product == "na_sweep":
+            _emit_na_sweep(runner, f"{name}.csv", geometry, *levels)
+        elif product == "sweep":
+            results = runner.sweep(runner.stack(geometry), runner.mask(geometry, depth), levels)
+            _emit_sweep(runner, f"{name}.csv", results)
+        else:  # one file per level, each level solved once and labelled if there are several
+            stack = runner.stack(geometry)
+            if solved is None:
+                mask = runner.mask(geometry, depth)
+                solved = [(db, optimizer.solve(stack, mask, runner.policy(db))) for db in levels]
+            for db, result in solved:
+                label = f"_{_level_label(db)}" if len(solved) > 1 else ""
+                _LEVEL_WRITERS[product](runner, f"{name}{label}.csv", stack, result)
 
 
-def _cmd_reproduce(runner: Runner, figures) -> None:
-    unknown = [f for f in figures if f not in FIGURE_IDS]
-    if unknown:
-        raise ConfigError(
-            f"unknown figure id {unknown[0]}; valid ids: {', '.join(map(str, FIGURE_IDS))}"
-        )
-    subs = {}
-    for figure in figures:
-        kind = _figure_kind(figure)
-        if kind not in subs:
-            # The field depends only on aperture and grid, so every
-            # geometry-specific runner shares one copy.
-            subs[kind] = _figure_runner(runner, kind)
-        _reproduce_figure(subs[kind], figure)
-        if runner._field is None:
-            runner._field = subs[kind]._field
+def _figure_table() -> str:
+    lines = [
+        "figures (the config sets only the aperture, the grid and the dB convention):",
+        "  id  geometry          mask      levels               products (product:file stem)",
+    ]
+    for figure, spec in FIGURES.items():
+        mask = "mainlobe" if spec.depth is None else f"depth {spec.depth:g}"
+        levels = ",".join(_level_label(db) for db in spec.levels) or "-"
+        products = ", ".join(spec.products)
+        lines.append(f"  {figure:>2}  {spec.geometry.kind:<16}  {mask:<8}  {levels:<19}  {products}")
+    return "\n".join(lines)
 
 
 # ---------------------------------------------------------------------------
@@ -536,10 +494,15 @@ def build_parser() -> argparse.ArgumentParser:
     sub.add_parser("optimize", help="solve for optimal channel combinations")
     sub.add_parser("analyze", help="defocus and shift-power analysis")
     sub.add_parser("sweep", help="truncation-threshold sweep")
-    repro = sub.add_parser("reproduce", help="regenerate reference figure datasets")
+    repro = sub.add_parser(
+        "reproduce",
+        help="regenerate reference figure datasets",
+        epilog=_figure_table(),
+        formatter_class=argparse.RawDescriptionHelpFormatter,
+    )
     repro.add_argument(
-        "figures", type=int, nargs="+", choices=FIGURE_IDS, metavar="FIGURE",
-        help=f"figure numbers ({FIGURE_IDS[0]}-{FIGURE_IDS[-1]})",
+        "figures", type=int, nargs="+", choices=sorted(FIGURES), metavar="FIGURE",
+        help=f"figure numbers ({min(FIGURES)}-{max(FIGURES)})",
     )
     return parser
 
@@ -563,7 +526,8 @@ def main(argv=None) -> int:
     }
     try:
         if args.command == "reproduce":
-            _cmd_reproduce(runner, args.figures)
+            for figure in args.figures:
+                _reproduce_figure(runner, figure)
         else:
             handlers[args.command](runner)
         runner.write_manifest(args.command)

@@ -19,8 +19,6 @@ import numpy as np
 WAVELENGTH = 1.0
 K = 2.0 * np.pi
 
-SINE_CONDITION = "sine_condition"
-
 #: simulate_field refuses grids with more nodes than this by default.
 DEFAULT_NODE_BUDGET = 16_000_000
 
@@ -30,15 +28,12 @@ class ApertureSpec:
     """Aperture cone of the objective: half-angle and quadrature density."""
 
     half_angle: float
-    apodization: str = SINE_CONDITION
     n_theta: int = 64
     n_phi: int = 128
 
     def __post_init__(self):
         if not 0.0 < self.half_angle < np.pi / 2:
             raise ValueError(f"half_angle must lie in (0, pi/2), got {self.half_angle}")
-        if self.apodization != SINE_CONDITION:
-            raise ValueError(f"unknown apodization {self.apodization!r}")
         if self.n_theta < 2:
             raise ValueError("n_theta must be >= 2")
         if self.n_phi < 4:

@@ -2,8 +2,10 @@
 caching, manifests, determinism, and figure reproduction."""
 import hashlib
 import json
+import os
 import subprocess
 import sys
+from pathlib import Path
 
 import pytest
 
@@ -43,6 +45,20 @@ def write_config(tmp_path, overrides=None, name="run.ini"):
     return path
 
 
+LEVEL_LABELS = ("none", "30db", "20db", "10db")  # TINY's levels
+SUBCOMMAND_FILES = {
+    "field": {"field.bin", "radial_profile.csv"},
+    "otfs": {"stack_meta.json", "otf0_section.csv"},
+    "optimize": {
+        f"{stem}_{label}.{ext}"
+        for stem, ext in (("combination", "json"), ("coefficients", "csv"), ("cotf_section", "csv"))
+        for label in LEVEL_LABELS
+    } | {"sweep.csv"},
+    "analyze": {f"defocus_{label}.csv" for label in LEVEL_LABELS} | {"shift_power.csv"},
+    "sweep": {"sweep.csv", "sweep.json"},
+}
+
+
 @pytest.mark.parametrize("command", ["field", "otfs", "optimize", "analyze", "sweep"])
 def test_subcommands_succeed(tmp_path, command):
     config = write_config(tmp_path)
@@ -50,15 +66,21 @@ def test_subcommands_succeed(tmp_path, command):
     assert main(["--config", str(config), "--out", str(out), command]) == 0
     manifest = json.loads((out / "manifest.json").read_text())
     assert manifest["command"] == command
-    assert manifest["files"]
+    assert set(manifest["files"]) == SUBCOMMAND_FILES[command]
     for name in manifest["files"]:
         assert (out / name).stat().st_size > 0
 
 
 def test_unknown_key_is_config_error(tmp_path, capsys):
-    config = write_config(tmp_path, {"aperture": {"typo_key": "5"}})
-    assert main(["--config", str(config), "field"]) == 2
-    assert "typo_key" in capsys.readouterr().err
+    # apodization and cache were keys once; they chose nothing.
+    for section, key, value in (
+        ("aperture", "typo_key", "5"),
+        ("aperture", "apodization", "sine_condition"),
+        ("outputs", "cache", "false"),
+    ):
+        config = write_config(tmp_path, {section: {key: value}})
+        assert main(["--config", str(config), "field"]) == 2
+        assert key in capsys.readouterr().err
 
 
 def test_unknown_section_is_config_error(tmp_path, capsys):
@@ -193,6 +215,29 @@ def test_reproduce_figures(tmp_path):
         assert name in manifest["files"]
 
 
+def test_figures_ignore_config_geometry_and_mask(tmp_path):
+    # A figure fixes its own geometry, mask and levels: a 3 x 3 point config
+    # with a depth-target mask and a line config give the same bytes.
+    point = write_config(tmp_path, {"mask": {"kind": "depth_target", "depth_wavelengths": "1"}})
+    line = write_config(tmp_path, {"geometry": {"kind": "line"}}, name="line.ini")
+    outs = []
+    for config in (point, line):
+        out = tmp_path / config.stem
+        assert main(["--config", str(config), "--out", str(out), "reproduce", "2", "3", "5"]) == 0
+        outs.append(out)
+    manifest = json.loads((outs[0] / "manifest.json").read_text())
+    assert sorted(manifest["files"]) == [
+        "fig02_power_vs_shift.csv",
+        "fig03_coefficients_20db.csv",
+        "fig03_coefficients_30db.csv",
+        "fig03_coefficients_none.csv",
+        "fig05_defocus.csv",
+    ]
+    assert len((outs[0] / "fig03_coefficients_none.csv").read_text().splitlines()) == 1 + 25
+    for name in manifest["files"]:
+        assert (outs[0] / name).read_bytes() == (outs[1] / name).read_bytes(), name
+
+
 def test_reproduce_rejects_unknown_figure(tmp_path, capsys):
     config = write_config(tmp_path)
     with pytest.raises(SystemExit) as excinfo:
@@ -218,6 +263,7 @@ def test_module_entry_point(tmp_path):
         [sys.executable, "-m", "cotf", "--config", str(config), "--out", str(out), "field"],
         capture_output=True,
         text=True,
+        env={**os.environ, "PYTHONPATH": str(Path(__file__).resolve().parents[1] / "src")},
     )
     assert proc.returncode == 0, proc.stderr
     assert (out / "manifest.json").exists()

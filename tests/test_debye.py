@@ -106,8 +106,6 @@ def test_load_rejects_corrupt_files(small_field, tmp_path):
 def test_spec_validation():
     with pytest.raises(ValueError, match="half_angle"):
         cotf.ApertureSpec(half_angle=2.0)
-    with pytest.raises(ValueError, match="apodization"):
-        cotf.ApertureSpec(half_angle=1.0, apodization="uniform")
     with pytest.raises(ValueError, match="n_theta"):
         cotf.ApertureSpec(half_angle=1.0, n_theta=1)
     with pytest.raises(ValueError, match="extent_x"):
