@@ -16,7 +16,7 @@ import hashlib
 import json
 import math
 import sys
-from dataclasses import asdict, astuple, dataclass
+from dataclasses import asdict, astuple, dataclass, replace
 from pathlib import Path
 from typing import NamedTuple
 
@@ -27,29 +27,37 @@ class ConfigError(ValueError):
     """Configuration file or value problem; maps to exit code 2."""
 
 
+#: INI key -> (dataclass field or factory argument, cast).  A key the INI
+#: leaves out is not passed, so the dataclass or factory default applies.
+_APERTURE_KEYS = {
+    "half_angle_deg": ("half_angle", lambda raw: math.radians(float(raw))),
+    "n_theta": ("n_theta", int),
+    "n_phi": ("n_phi", int),
+}
+_GRID_KEYS = {
+    f"{what}_{ax}_wavelengths": (f"{what}_{ax}", float) for what in ("extent", "step") for ax in "xyz"
+}
+_DETECTOR_KEYS = {"det_count": ("count", int), "det_pitch_wavelengths": ("pitch", float)}
+_GEOMETRY_FACTORIES = {
+    "point": (otf.point_grid_geometry, _DETECTOR_KEYS),
+    "line": (otf.line_array_geometry, _DETECTOR_KEYS),
+    "cross": (otf.cross_shift_geometry, {
+        "det_count": ("det_count", int),
+        "det_pitch_wavelengths": ("det_pitch", float),
+        "illum_count": ("illum_count", int),
+        "illum_pitch_wavelengths": ("illum_pitch", float),
+    }),
+}
+
 _SCHEMA = {
-    "aperture": {"half_angle_deg", "n_theta", "n_phi"},
-    "grid": {
-        "extent_x_wavelengths",
-        "extent_y_wavelengths",
-        "extent_z_wavelengths",
-        "step_x_wavelengths",
-        "step_y_wavelengths",
-        "step_z_wavelengths",
-    },
-    "geometry": {
-        "kind",
-        "det_count",
-        "det_pitch_wavelengths",
-        "illum_count",
-        "illum_pitch_wavelengths",
-    },
+    "aperture": set(_APERTURE_KEYS),
+    "grid": set(_GRID_KEYS),
+    "geometry": {"kind", *_GEOMETRY_FACTORIES["cross"][1]},
     "mask": {"kind", "depth_wavelengths"},
     "policies": {"levels"},
     "outputs": {"directory", "db_convention"},
 }
 
-_GEOMETRY_KINDS = ("point", "line", "cross")
 _MASK_KINDS = ("mainlobe", "depth_target")
 
 
@@ -92,6 +100,15 @@ def _get(parser, section, key, cast, default):
         raise ConfigError(f"[{section}] {key} = {raw!r}: {exc}") from exc
 
 
+def _given(parser, section: str, keys: dict) -> dict:
+    """{argument: value} for each of ``keys`` that ``section`` sets."""
+    return {
+        arg: _get(parser, section, key, cast, None)
+        for key, (arg, cast) in keys.items()
+        if parser.has_option(section, key)
+    }
+
+
 def _parse_levels(raw: str) -> tuple:
     levels = []
     for token in raw.split(","):
@@ -107,7 +124,9 @@ def _parse_levels(raw: str) -> tuple:
 
 
 def load_config(path: str | None) -> RunConfig:
-    """Parse and validate an INI configuration; None loads pure defaults."""
+    """Parse and validate an INI configuration; None loads pure defaults.
+    Every default is that of ``RunConfig``, its specs or the geometry
+    factories."""
     parser = configparser.ConfigParser(interpolation=None, inline_comment_prefixes=(";", "#"))
     if path is not None:
         read = parser.read(path)
@@ -115,38 +134,20 @@ def load_config(path: str | None) -> RunConfig:
             raise ConfigError(f"cannot read config file {path}")
         _validate_sections(parser, path)
 
-    half_angle_deg = _get(parser, "aperture", "half_angle_deg", float, 60.0)
-    n_theta = _get(parser, "aperture", "n_theta", int, 64)
-    n_phi = _get(parser, "aperture", "n_phi", int, 128)
-    grid_vals = [
-        _get(parser, "grid", f"{what}_{ax}_wavelengths", float, default)
-        for what, ax, default in (
-            ("extent", "x", 3.0), ("extent", "y", 3.0), ("extent", "z", 6.0),
-            ("step", "x", 0.125), ("step", "y", 0.125), ("step", "z", 0.125),
-        )
-    ]
-    geometry_kind = _get(parser, "geometry", "kind", str, "point")
-    det_count = _get(parser, "geometry", "det_count", int, None)
-    det_pitch = _get(parser, "geometry", "det_pitch_wavelengths", float, None)
-    illum_count = _get(parser, "geometry", "illum_count", int, None)
-    illum_pitch = _get(parser, "geometry", "illum_pitch_wavelengths", float, None)
+    aperture_args = _given(parser, "aperture", _APERTURE_KEYS)
+    grid_args = _given(parser, "grid", _GRID_KEYS)
     mask_kind = _get(parser, "mask", "kind", str, "mainlobe")
-    mask_depth = _get(parser, "mask", "depth_wavelengths", float, None)
-    levels = _get(parser, "policies", "levels", _parse_levels, (None, 30.0, 20.0, 10.0))
-    directory = _get(parser, "outputs", "directory", str, "out")
-    convention = _get(parser, "outputs", "db_convention", str, optimizer.POWER)
+    mask_depth = _get(parser, "mask", "depth_wavelengths", float, RunConfig.mask_depth)
+    levels = _get(parser, "policies", "levels", _parse_levels, RunConfig.levels)
+    directory = _get(parser, "outputs", "directory", str, RunConfig.directory)
+    convention = _get(parser, "outputs", "db_convention", str, RunConfig.convention)
 
     try:
-        aperture = debye.ApertureSpec(
-            half_angle=math.radians(half_angle_deg),
-            n_theta=n_theta,
-            n_phi=n_phi,
-        )
-        grid = debye.GridSpec(*grid_vals)
-        geometry = _build_geometry(geometry_kind, det_count, det_pitch, illum_count, illum_pitch)
+        aperture = replace(debye.DEFAULT_APERTURE, **aperture_args)
+        grid = replace(debye.DEFAULT_GRID, **grid_args)
+        geometry = _build_geometry(parser)
         for db in levels:
-            if db is not None:
-                optimizer.TruncationPolicy(threshold_db=db, convention=convention)
+            optimizer.TruncationPolicy(threshold_db=db, convention=convention)
     except ValueError as exc:
         raise ConfigError(str(exc)) from exc
 
@@ -168,27 +169,15 @@ def load_config(path: str | None) -> RunConfig:
     )
 
 
-def _build_geometry(kind, det_count, det_pitch, illum_count, illum_pitch) -> otf.ScanGeometry:
-    if kind not in _GEOMETRY_KINDS:
-        raise ValueError(f"[geometry] kind must be one of {_GEOMETRY_KINDS}, got {kind!r}")
-    if kind != "cross" and (illum_count is not None or illum_pitch is not None):
+def _build_geometry(parser) -> otf.ScanGeometry:
+    kind = _get(parser, "geometry", "kind", str, "point")
+    if kind not in _GEOMETRY_FACTORIES:
+        kinds = tuple(_GEOMETRY_FACTORIES)
+        raise ValueError(f"[geometry] kind must be one of {kinds}, got {kind!r}")
+    factory, keys = _GEOMETRY_FACTORIES[kind]
+    if any(parser.has_option("geometry", key) for key in _SCHEMA["geometry"] - {"kind", *keys}):
         raise ValueError("[geometry] illumination keys only apply to kind = cross")
-    if kind == "point":
-        return otf.point_grid_geometry(
-            count=det_count if det_count is not None else 5,
-            pitch=det_pitch if det_pitch is not None else 0.75,
-        )
-    if kind == "line":
-        return otf.line_array_geometry(
-            count=det_count if det_count is not None else 7,
-            pitch=det_pitch if det_pitch is not None else 0.25,
-        )
-    return otf.cross_shift_geometry(
-        illum_count=illum_count if illum_count is not None else 9,
-        illum_pitch=illum_pitch if illum_pitch is not None else 0.125,
-        det_count=det_count if det_count is not None else 7,
-        det_pitch=det_pitch if det_pitch is not None else 0.25,
-    )
+    return factory(**_given(parser, "geometry", keys))
 
 
 # ---------------------------------------------------------------------------
@@ -248,18 +237,17 @@ class Runner:
         return optimizer.TruncationPolicy(threshold_db=db, convention=self.cfg.convention)
 
     def sweep(self, stack, mask, levels) -> list:
-        """The untruncated result, then one per dB level, from one factorization."""
-        policies = [self.policy(db) for db in levels if db is not None]
-        return optimizer.truncation_sweep(stack, mask, policies)
+        """The untruncated result, then one per dB level in the order given
+        (``None`` levels are skipped), all from one factorization."""
+        db_levels = [db for db in levels if db is not None]
+        return optimizer.truncation_sweep(stack, mask, db_levels, self.cfg.convention)
 
     def solve_levels(self, stack, mask, levels) -> list:
-        """(level, result) pairs; ``none`` then strictly decreasing dB levels
-        share one factorization as a truncation sweep."""
-        db_levels = [db for db in levels if db is not None]
-        descending = all(a > b for a, b in zip(db_levels, db_levels[1:]))
-        if levels[0] is None and descending and len(levels) > 1:
-            return list(zip(levels, self.sweep(stack, mask, db_levels)))
-        return [(db, optimizer.solve(stack, mask, self.policy(db))) for db in levels]
+        """(level, result) pairs in the order of ``levels`` from one sweep;
+        the ``None`` level is the sweep's untruncated result."""
+        untruncated, *truncated = self.sweep(stack, mask, levels)
+        by_db = iter(truncated)
+        return [(db, untruncated if db is None else next(by_db)) for db in levels]
 
     # -- emission ----------------------------------------------------------
 

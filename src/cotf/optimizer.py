@@ -13,7 +13,9 @@ regularization further keeps only directions within ``threshold_db``
 decibels of the largest singular value.  In the retained subspace the
 reduced B = Q Lambda Q^T whitens the pencil: the top eigenpair of
 Lambda^-1/2 Q^T A Q Lambda^-1/2 is the optimum.  A reduced B that is
-singular to working precision raises NumericalError.
+singular to working precision raises NumericalError.  Every level truncates
+the same SVD, so ``truncation_sweep`` solves any set of levels from one
+factorization.
 """
 from __future__ import annotations
 
@@ -108,31 +110,23 @@ def solve(stack: OtfStack, mask: RegionMask, policy: TruncationPolicy | None = N
     return _solve_prepared(stack, prep, policy)
 
 
-def truncation_sweep(stack: OtfStack, mask: RegionMask, thresholds) -> list:
-    """Solve once untruncated, then once per threshold (shared factorization).
+def truncation_sweep(stack: OtfStack, mask: RegionMask, thresholds, convention: str = POWER) -> list:
+    """Solve once untruncated, then once per dB threshold, all from one
+    factorization.
 
-    ``thresholds`` runs from weakest to strongest truncation, i.e. strictly
-    decreasing dB values.  Returns the untruncated result followed by one
-    result per threshold in input order.
+    ``thresholds`` are dB values in any order, each read under
+    ``convention``.  Returns the untruncated result followed by one result
+    per threshold in input order.  Truncation only shrinks the subspace, so
+    a truncated objective above the untruncated one raises NumericalError.
     """
-    policies = []
-    for t in thresholds:
-        if t is None or (isinstance(t, TruncationPolicy) and t.threshold_db is None):
-            raise ValueError(
-                "sweep thresholds must be finite dB values; the untruncated solve is always included"
-            )
-        policies.append(t if isinstance(t, TruncationPolicy) else TruncationPolicy(threshold_db=float(t)))
-    db_values = [p.threshold_db for p in policies]
-    if any(db_values[i] <= db_values[i + 1] for i in range(len(db_values) - 1)):
+    if any(t is None for t in thresholds):
         raise ValueError(
-            "thresholds must be strictly ordered from weakest to strongest truncation "
-            "(strictly decreasing dB)"
+            "sweep thresholds must be finite dB values; the untruncated solve is always included"
         )
-    convention = _sweep_convention(policies)
+    policies = [TruncationPolicy(convention=convention)]
+    policies += [TruncationPolicy(threshold_db=float(t), convention=convention) for t in thresholds]
     prep = _prepare(stack, mask)
-    results = [_solve_prepared(stack, prep, TruncationPolicy(convention=convention))]
-    for policy in policies:
-        results.append(_solve_prepared(stack, prep, policy))
+    results = [_solve_prepared(stack, prep, policy) for policy in policies]
     untruncated = results[0].objective
     for res in results[1:]:
         if res.objective > untruncated * (1.0 + 1e-9):
@@ -140,13 +134,6 @@ def truncation_sweep(stack: OtfStack, mask: RegionMask, thresholds) -> list:
                 "nesting violated: a truncated objective exceeds the untruncated optimum"
             )
     return results
-
-
-def _sweep_convention(policies) -> str:
-    kinds = {p.convention for p in policies}
-    if len(kinds) > 1:
-        raise ValueError("mixed dB conventions in one sweep")
-    return kinds.pop() if kinds else POWER
 
 
 class _Prepared(NamedTuple):

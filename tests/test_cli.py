@@ -177,15 +177,53 @@ def test_no_cache_writes_nothing(tmp_path):
 
 
 def test_identical_configs_give_identical_artifacts(tmp_path):
+    # Repeats are byte-identical, and so is every per-level file when the
+    # same levels are listed in ascending order.
     config = write_config(tmp_path)
-    out1, out2 = tmp_path / "a", tmp_path / "b"
-    assert main(["--config", str(config), "--out", str(out1), "optimize"]) == 0
-    assert main(["--config", str(config), "--out", str(out2), "optimize"]) == 0
-    manifest1 = (out1 / "manifest.json").read_bytes()
-    manifest2 = (out2 / "manifest.json").read_bytes()
-    assert manifest1 == manifest2
-    for name in json.loads(manifest1)["files"]:
-        assert (out1 / name).read_bytes() == (out2 / name).read_bytes(), name
+    ascending = write_config(tmp_path, {"policies": {"levels": "10, 20, 30, none"}}, name="up.ini")
+    for command in ("optimize", "analyze", "sweep"):
+        outs = [tmp_path / f"{command}_{i}" for i in range(3)]
+        for cfg, out in zip((config, config, ascending), outs):
+            assert main(["--config", str(cfg), "--out", str(out), command]) == 0
+        first, repeat, up = outs
+        manifest = (first / "manifest.json").read_bytes()
+        assert manifest == (repeat / "manifest.json").read_bytes()
+        for name in json.loads(manifest)["files"]:
+            assert (first / name).read_bytes() == (repeat / name).read_bytes(), name
+            if name.startswith("sweep."):  # one row per level, in the config's order
+                assert _sweep_rows(first / name) == _sweep_rows(up / name), name
+            else:
+                assert (first / name).read_bytes() == (up / name).read_bytes(), name
+
+
+def _sweep_rows(path):
+    if path.suffix == ".json":
+        return sorted(json.dumps(row, sort_keys=True) for row in json.loads(path.read_text()))
+    return sorted(path.read_text().splitlines())
+
+
+def test_one_factorization_per_subcommand(tmp_path, monkeypatch):
+    calls = []
+    prepare = cotf.optimizer._prepare
+
+    def counted(*args):
+        calls.append(args)
+        return prepare(*args)
+
+    monkeypatch.setattr(cotf.optimizer, "_prepare", counted)
+    config = write_config(tmp_path, {"policies": {"levels": "10, none, 30, 20"}})
+    for command in ("optimize", "analyze"):
+        calls.clear()
+        assert main(["--config", str(config), "--out", str(tmp_path / command), command]) == 0
+        assert len(calls) == 1, command
+
+
+def test_defaults_live_in_the_dataclasses(tmp_path):
+    assert cotf.cli.load_config(None) == cotf.cli.RunConfig()
+    for kind, geometry in (("line", cotf.DEFAULT_LINE_GEOMETRY), ("cross", cotf.DEFAULT_CROSS_GEOMETRY)):
+        path = tmp_path / f"{kind}.ini"
+        path.write_text(f"[geometry]\nkind = {kind}\n")
+        assert cotf.cli.load_config(str(path)).geometry == geometry
 
 
 def test_manifest_checksums_match_files(tmp_path):
@@ -251,6 +289,16 @@ def test_db_convention_option(tmp_path, capsys):
     assert main(["--config", str(config), "--out", str(out), "optimize"]) == 0
     payload = json.loads((out / "combination_20db.json").read_text())
     assert payload["policy"]["convention"] == "amplitude"
+    # The untruncated result carries the config's convention too.
+    only_none = write_config(
+        tmp_path, {"outputs": {"db_convention": "amplitude"}, "policies": {"levels": "none"}},
+        name="none.ini",
+    )
+    for command in ("optimize", "sweep"):
+        assert main(["--config", str(only_none), "--out", str(out / "none"), command]) == 0
+    rows = json.loads((out / "none" / "sweep.json").read_text())
+    combination = json.loads((out / "none" / "combination_none.json").read_text())
+    assert rows[0]["policy"]["convention"] == combination["policy"]["convention"] == "amplitude"
     bad = write_config(tmp_path, {"outputs": {"db_convention": "bels"}}, name="bad.ini")
     assert main(["--config", str(bad), "optimize"]) == 2
     assert "convention" in capsys.readouterr().err

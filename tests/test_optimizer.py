@@ -1,5 +1,6 @@
 """Optimizer tests: invariances, frozen pipeline values, truncation
 behaviour, and error paths."""
+import itertools
 import json
 
 import numpy as np
@@ -124,22 +125,19 @@ def test_improvement_matches_objective_ratio(point_sweep, point_stack, point_mas
         assert np.isclose(result.improvement_factor * conventional, result.objective, rtol=1e-12)
 
 
-def test_sweep_ordering_validation(line_stack, line_mask):
-    with pytest.raises(ValueError, match="strictly"):
-        cotf.truncation_sweep(line_stack, line_mask, [10.0, 20.0])
-    with pytest.raises(ValueError, match="strictly"):
-        cotf.truncation_sweep(line_stack, line_mask, [20.0, 20.0])
+def test_sweep_ordering_validation(point_stack, point_mask, point_sweep):
+    # Every level truncates one factorization: its result is the same, bit
+    # for bit, wherever it sits in the sweep.
+    reference = {r.policy.threshold_db: r for r in point_sweep}
+    for order in itertools.permutations([30.0, 20.0, 10.0]):
+        results = cotf.truncation_sweep(point_stack, point_mask, list(order))
+        assert [r.policy.threshold_db for r in results] == [None, *order]
+        for result in results:
+            expected = reference[result.policy.threshold_db]
+            assert result.objective == expected.objective
+            assert np.array_equal(result.coefficients, expected.coefficients)
     with pytest.raises(ValueError, match="finite dB"):
-        cotf.truncation_sweep(line_stack, line_mask, [30.0, None])
-    with pytest.raises(ValueError, match="mixed"):
-        cotf.truncation_sweep(
-            line_stack,
-            line_mask,
-            [
-                cotf.TruncationPolicy(threshold_db=30.0, convention=cotf.POWER),
-                cotf.TruncationPolicy(threshold_db=20.0, convention=cotf.AMPLITUDE),
-            ],
-        )
+        cotf.truncation_sweep(point_stack, point_mask, [30.0, None])
 
 
 def test_sweep_nesting(line_sweep, cross_sweep):
