@@ -3,9 +3,8 @@
 The pipeline has four stages, each usable on its own:
 
 1. :mod:`cotf.debye` — scalar focal-field simulation over a 3D grid.
-2. :mod:`cotf.otf` — per-channel intensity transfer functions and the
-   stacked measurement matrix for point-scan, line-scan and cross-shift
-   detector geometries.
+2. :mod:`cotf.otf` — the measurement matrix: one channel weight per
+   column, for point-scan, line-scan and cross-shift detector geometries.
 3. :mod:`cotf.regions` — focal / out-of-focus grid partitions.
 4. :mod:`cotf.optimizer` / :mod:`cotf.analysis` — regularized optimal
    channel weights and derived figures of merit.
@@ -54,11 +53,8 @@ from .otf import (
     ScanGeometry,
     build_stack,
     cross_shift_geometry,
-    cross_shift_otf,
     line_array_geometry,
-    line_focus,
     point_grid_geometry,
-    point_otf,
 )
 from .regions import (
     RegionMask,
@@ -95,19 +91,16 @@ __all__ = [
     "build_stack",
     "conventional_objective",
     "cross_shift_geometry",
-    "cross_shift_otf",
     "defocus_curve",
     "depth_target_mask",
     "dump_field",
     "first_null_distance",
     "line_array_geometry",
-    "line_focus",
     "load_field",
     "mainlobe_mask",
     "mainlobe_radii",
     "na_sweep",
     "point_grid_geometry",
-    "point_otf",
     "power_vs_shift",
     "radial_profile",
     "reshape_node_vector",

@@ -242,13 +242,6 @@ class Runner:
         db_levels = [db for db in levels if db is not None]
         return optimizer.truncation_sweep(stack, mask, db_levels, self.cfg.convention)
 
-    def solve_levels(self, stack, mask, levels) -> list:
-        """(level, result) pairs in the order of ``levels`` from one sweep;
-        the ``None`` level is the sweep's untruncated result."""
-        untruncated, *truncated = self.sweep(stack, mask, levels)
-        by_db = iter(truncated)
-        return [(db, untruncated if db is None else next(by_db)) for db in levels]
-
     # -- emission ----------------------------------------------------------
 
     def emit(self, name: str, writer) -> Path:
@@ -274,6 +267,14 @@ class Runner:
 
 def _level_label(db: float | None) -> str:
     return "none" if db is None else f"{db:g}db"
+
+
+def _by_level(levels, results) -> list:
+    """(level, result) pairs in the order of ``levels`` from one
+    ``Runner.sweep``'s results; the ``None`` level is its untruncated result."""
+    untruncated, *truncated = results
+    by_db = iter(truncated)
+    return [(db, untruncated if db is None else next(by_db)) for db in levels]
 
 
 # ---------------------------------------------------------------------------
@@ -356,19 +357,21 @@ def _cmd_otfs(runner: Runner) -> None:
 
 def _cmd_optimize(runner: Runner) -> None:
     stack, mask = _configured(runner)
-    solved = runner.solve_levels(stack, mask, runner.cfg.levels)
-    for db, result in solved:
+    levels = runner.cfg.levels
+    results = runner.sweep(stack, mask, levels)
+    for db, result in _by_level(levels, results):
         label = _level_label(db)
         runner.emit_json(f"combination_{label}.json", result.to_json_dict())
         _emit_coefficients(runner, f"coefficients_{label}.csv", stack, result)
         _emit_cotf_section(runner, f"cotf_section_{label}.csv", stack, result)
-    if len(solved) > 1:
-        _emit_sweep(runner, "sweep.csv", [result for _, result in solved])
+    if len(levels) > 1:  # the layout of the sweep subcommand's sweep.csv
+        _emit_sweep(runner, "sweep.csv", results)
 
 
 def _cmd_analyze(runner: Runner) -> None:
     stack, mask = _configured(runner)
-    for db, result in runner.solve_levels(stack, mask, runner.cfg.levels):
+    levels = runner.cfg.levels
+    for db, result in _by_level(levels, runner.sweep(stack, mask, levels)):
         _emit_defocus(runner, f"defocus_{_level_label(db)}.csv", stack, result)
     if runner.cfg.geometry.kind == otf.POINT_ARRAY:
         _emit_shift_power(runner, "shift_power.csv", mask)

@@ -1,15 +1,21 @@
-"""Per-channel transfer functions and the measurement matrix.
+"""Channel weights and the measurement matrix.
 
-A channel is an (illumination shift, detector shift) pair.  The point-scan
-channel weight at a grid node r is |U(r)|^2 |U(r + delta)|^2: illumination
-intensity at r times detection sensitivity of a pinhole displaced by delta.
-Line-scan channels use the coherent line focus L(x, z) = sum_y U * step_y
-in place of U and live on the (x, z) sub-grid.  Cross-shift channels pair
-an off-axis illumination line with an off-axis detection line.
+A channel is an (illumination shift, detector shift) pair.  Each stack is
+built from one intensity, computed once per stack:
 
-Stacking the vectorized channel weights column-by-column gives the K x N
-matrix consumed by the optimizer; column 0 is always the conventional
-(zero-shift) channel.
+- point scans use I = |U|^2 on the (x, y, z) grid, and the channel with
+  detector shift delta = (dx, dy) weighs node r by I(r) I(r + delta):
+  illumination intensity at r times the detection sensitivity of a pinhole
+  displaced by delta;
+- line and cross-shift scans use the line-focus intensity
+  I_L(x, z) = |sum_y U(x, y, z) step_y|^2 on the (x, z) sub-grid, and the
+  channel (delta_i, delta_d) weighs node r by I_L(x + delta_i, z)
+  I_L(x + delta_d, z): an off-axis illumination line times an off-axis
+  detection line.  Line scans have delta_i = 0.
+
+A weight is zero where a shift leaves the grid.  Stacking the vectorized
+channel weights column by column gives the K x N matrix consumed by the
+optimizer; column 0 is always the conventional (zero-shift) channel.
 """
 from __future__ import annotations
 
@@ -134,7 +140,8 @@ DEFAULT_CROSS_GEOMETRY = cross_shift_geometry()
 
 @dataclass(frozen=True)
 class OtfGrid:
-    """One channel's non-negative intensity weight per grid node.
+    """One channel's non-negative weight on its grid, as the region masks
+    take it; ``analysis.zero_channel_grid`` builds the zero channel's.
 
     ``axes`` holds the node coordinates per dimension: (x, y, z) for
     point-scan channels, (x, z) for line-scan channels.
@@ -201,7 +208,10 @@ def _index_offset(shift: float, axis: np.ndarray, name: str) -> int:
 
 
 def _shifted(values: np.ndarray, offsets: tuple) -> np.ndarray:
-    """values sampled at r + offset*step, zero outside the grid."""
+    """values sampled at r + offset*step, zero outside the grid; ``values``
+    itself when every offset is zero."""
+    if not any(offsets):
+        return values
     out = np.zeros_like(values)
     src = []
     dst = []
@@ -213,49 +223,40 @@ def _shifted(values: np.ndarray, offsets: tuple) -> np.ndarray:
     return out
 
 
-def point_otf(field: FieldGrid, delta: tuple) -> OtfGrid:
-    """Channel weight |U(r)|^2 |U(r + delta)|^2 for a transverse detector
-    shift delta = (dx, dy)."""
-    xs, ys, zs = field.axis("x"), field.axis("y"), field.axis("z")
-    ox = _index_offset(delta[0], xs, "x")
-    oy = _index_offset(delta[1], ys, "y")
-    intensity = np.abs(field.samples) ** 2
-    values = intensity * _shifted(intensity, (ox, oy, 0))
-    return OtfGrid(axes=(xs, ys, zs), values=values, channel=((0.0, 0.0), (float(delta[0]), float(delta[1]))))
-
-
-def line_focus(field: FieldGrid) -> np.ndarray:
-    """Coherent line-focus field L(x, z): discrete Riemann sum of U along y."""
-    return field.samples.sum(axis=1) * field.spec.step_y
-
-
-def cross_shift_otf(field: FieldGrid, delta_illum: float, delta_det: float) -> OtfGrid:
-    """Channel weight |L(x + d_i, z)|^2 |L(x + d_d, z)|^2 on the (x, z) sub-grid."""
-    xs, zs = field.axis("x"), field.axis("z")
-    oi = _index_offset(delta_illum, xs, "illumination x")
-    od = _index_offset(delta_det, xs, "detector x")
-    line_intensity = np.abs(line_focus(field)) ** 2
-    values = _shifted(line_intensity, (oi, 0)) * _shifted(line_intensity, (od, 0))
-    return OtfGrid(axes=(xs, zs), values=values, channel=(float(delta_illum), float(delta_det)))
-
-
 def build_stack(field: FieldGrid, geometry: ScanGeometry) -> OtfStack:
-    """Assemble the K x N measurement matrix, one vectorized channel per column."""
+    """Assemble the K x N measurement matrix, one vectorized channel per column,
+    every column from the one intensity of the geometry's kind."""
+    axes, intensity = _intensity(field, geometry.kind)
     channels = geometry.channels
-    first = _make_otf(field, geometry.kind, channels[0])
-    axes = first.axes
-    k = first.values.size
-    columns = np.empty((k, len(channels)), dtype=np.float64, order="F")
-    columns[:, 0] = first.values.ravel()
-    for n, ch in enumerate(channels[1:], start=1):
-        columns[:, n] = _make_otf(field, geometry.kind, ch).values.ravel()
+    columns = np.empty((intensity.size, len(channels)), dtype=np.float64, order="F")
+    for n, (illumination, detector) in enumerate(channels):
+        columns[:, n] = _channel_weight(intensity, axes, illumination, detector).ravel()
     return OtfStack(axes=axes, columns=columns, channels=channels)
 
 
-def _make_otf(field: FieldGrid, kind: str, channel) -> OtfGrid:
+def _intensity(field: FieldGrid, kind: str) -> tuple:
+    """The grid axes and the intensity a stack of ``kind`` is built from:
+    |U|^2 on (x, y, z) for point scans, the line-focus intensity
+    |sum_y U step_y|^2 on (x, z) for line and cross-shift scans."""
     if kind == POINT_ARRAY:
-        return point_otf(field, channel[1])
-    return cross_shift_otf(field, channel[0], channel[1])
+        return (field.axis("x"), field.axis("y"), field.axis("z")), np.abs(field.samples) ** 2
+    coherent_line = field.samples.sum(axis=1) * field.spec.step_y
+    return (field.axis("x"), field.axis("z")), np.abs(coherent_line) ** 2
+
+
+def _channel_weight(intensity: np.ndarray, axes: tuple, illumination, detector) -> np.ndarray:
+    """I(r + illumination) I(r + detector), zero where a shift leaves the grid."""
+    lit = _shifted(intensity, _offsets(illumination, axes, "illumination"))
+    return lit * _shifted(intensity, _offsets(detector, axes, "detector"))
+
+
+def _offsets(shift, axes: tuple, role: str) -> tuple:
+    """Grid-index offset per axis of a channel shift: (dx, dy) on the point
+    grid, dx on the line grid, none along z."""
+    parts = shift if isinstance(shift, tuple) else (shift,)
+    return tuple(
+        _index_offset(s, axis, f"{role} {name}") for s, axis, name in zip(parts, axes, "xy")
+    ) + (0,)
 
 
 # ---------------------------------------------------------------------------

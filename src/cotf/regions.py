@@ -35,10 +35,6 @@ class RegionMask:
     def node_count(self) -> int:
         return self.focal.size
 
-    def origin_node(self) -> int:
-        shape = tuple(a.size for a in self.axes)
-        return int(np.ravel_multi_index(tuple(n // 2 for n in shape), shape))
-
 
 def first_null_distance(profile: np.ndarray, coords: np.ndarray) -> float:
     """Distance of the first local minimum of ``profile`` scanned outward.

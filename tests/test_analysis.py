@@ -22,8 +22,9 @@ def cross_30db(cross_stack, cross_mask):
 
 def test_zero_channel_grid_roundtrip(default_field, point_stack):
     reference = cotf.zero_channel_grid(point_stack)
-    direct = cotf.point_otf(default_field, (0.0, 0.0))
-    assert np.array_equal(reference.values, direct.values)
+    intensity = np.abs(default_field.samples) ** 2
+    assert np.array_equal(reference.values, intensity * intensity)
+    assert reference.channel == ((0.0, 0.0), (0.0, 0.0))
 
 
 def test_defocus_self_combination_is_flat(point_stack):
@@ -51,11 +52,11 @@ def test_cross_defocus_rejection_beats_point(cross_stack, cross_30db, point_stac
     assert cross_curve.ratio[-1] > point_curve.ratio[-1]
 
 
-def test_shift_power_properties(default_field, point_mask):
+def test_shift_power_properties(default_field, point_stack, point_mask):
     shifts = [0.25 * i for i in range(13)]
     curve = cotf.power_vs_shift(default_field, point_mask, shifts)
     # Energy bookkeeping at zero shift: the two sums partition the total.
-    total = cotf.point_otf(default_field, (0.0, 0.0)).values.sum()
+    total = point_stack.columns[:, 0].sum()
     assert np.isclose(curve.focal[0] + curve.out_of_focus[0], total, rtol=1e-12)
     crossover = curve.shifts[np.flatnonzero(curve.out_of_focus > curve.focal)[0]]
     assert crossover == 0.75

@@ -218,6 +218,16 @@ def test_one_factorization_per_subcommand(tmp_path, monkeypatch):
         assert len(calls) == 1, command
 
 
+def test_optimize_writes_the_sweep_subcommands_sweep_csv(tmp_path):
+    # Untruncated row first, then the dB levels in the config's order.
+    config = write_config(tmp_path, {"policies": {"levels": "30, none"}})
+    for command in ("optimize", "sweep"):
+        assert main(["--config", str(config), "--out", str(tmp_path / command), command]) == 0
+    written = (tmp_path / "optimize" / "sweep.csv").read_bytes()
+    assert written == (tmp_path / "sweep" / "sweep.csv").read_bytes()
+    assert written.splitlines()[1].startswith(b"none,")
+
+
 def test_defaults_live_in_the_dataclasses(tmp_path):
     assert cotf.cli.load_config(None) == cotf.cli.RunConfig()
     for kind, geometry in (("line", cotf.DEFAULT_LINE_GEOMETRY), ("cross", cotf.DEFAULT_CROSS_GEOMETRY)):

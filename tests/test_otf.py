@@ -1,5 +1,5 @@
-"""Channel transfer-function tests: algebraic identities, symmetries,
-geometry enumeration, stacking, and exports."""
+"""Channel-weight tests: stack columns against their formulas, symmetries,
+shift validation, geometry enumeration, stacking, and exports."""
 import json
 
 import numpy as np
@@ -9,18 +9,33 @@ import cotf
 from cotf import otf
 
 
-def test_point_otf_nonnegative_finite(default_field):
-    grid = cotf.point_otf(default_field, (0.5, 0.0))
-    assert np.all(np.isfinite(grid.values))
-    assert grid.values.min() >= 0.0
+def _columns(stack):
+    """Grid-shaped columns keyed by channel."""
+    return {
+        ch: stack.columns[:, n].reshape(stack.grid_shape) for n, ch in enumerate(stack.channels)
+    }
 
 
-def test_zero_shift_peak_is_fourth_power(default_field):
-    grid = cotf.point_otf(default_field, (0.0, 0.0))
+def _point_intensity(field):
+    return np.abs(field.samples) ** 2
+
+
+def _line_intensity(field):
+    return np.abs(field.samples.sum(axis=1) * field.spec.step_y) ** 2
+
+
+def test_point_otf_nonnegative_finite(point_stack, cross_stack):
+    for stack in (point_stack, cross_stack):
+        assert np.all(np.isfinite(stack.columns))
+        assert stack.columns.min() >= 0.0
+
+
+def test_zero_shift_peak_is_fourth_power(default_field, point_stack):
+    zero = _columns(point_stack)[point_stack.channels[0]]
     peak_u = abs(default_field.samples[default_field.origin_index])
-    center = grid.values[grid.origin_index]
+    center = zero[default_field.origin_index]
     assert abs(center - peak_u**4) < 1e-12 * peak_u**4
-    assert center == grid.values.max()
+    assert center == zero.max()
 
 
 def test_zero_shift_bounds_every_channel(point_stack):
@@ -28,37 +43,65 @@ def test_zero_shift_bounds_every_channel(point_stack):
     assert np.all(point_stack.columns.max(axis=0) <= peak * (1 + 1e-12))
 
 
-def test_opposite_shifts_mirror(default_field):
-    plus = cotf.point_otf(default_field, (0.5, 0.25))
-    minus = cotf.point_otf(default_field, (-0.5, -0.25))
+def test_opposite_shifts_mirror(point_stack):
+    columns = _columns(point_stack)
+    plus = columns[((0.0, 0.0), (0.75, 1.5))]
+    minus = columns[((0.0, 0.0), (-0.75, -1.5))]
     # Same total weight: the sum runs over the same products either way.
-    assert np.isclose(plus.values.sum(), minus.values.sum(), rtol=1e-12)
+    assert np.isclose(plus.sum(), minus.sum(), rtol=1e-12)
     # Point reflection maps one channel onto the other.
-    assert np.max(np.abs(plus.values - minus.values[::-1, ::-1, ::-1])) < 1e-8 * plus.values.max()
+    assert np.max(np.abs(plus - minus[::-1, ::-1, ::-1])) < 1e-8 * plus.max()
 
 
-def test_cross_shift_symmetric_in_arguments(default_field):
-    ab = cotf.cross_shift_otf(default_field, 0.25, 0.5)
-    ba = cotf.cross_shift_otf(default_field, 0.5, 0.25)
-    assert np.array_equal(ab.values, ba.values)
+def test_cross_shift_symmetric_in_arguments(cross_stack):
+    columns = _columns(cross_stack)
+    assert np.array_equal(columns[(0.25, 0.5)], columns[(0.5, 0.25)])
 
 
-def test_cross_translation_equivalence(default_field):
+def test_cross_translation_equivalence(cross_stack):
     """cross(a, b) is cross(0, b-a) translated by a where both are interior."""
-    ca = cotf.cross_shift_otf(default_field, 0.25, 0.5)
-    cb = cotf.cross_shift_otf(default_field, 0.0, 0.25)
+    columns = _columns(cross_stack)
+    ca = columns[(0.25, 0.5)]
+    cb = columns[(0.0, 0.25)]
     off = 2  # 0.25 wavelengths at 0.125 step
-    shifted = np.zeros_like(cb.values)
-    shifted[:-off, :] = cb.values[off:, :]
+    shifted = np.zeros_like(cb)
+    shifted[:-off, :] = cb[off:, :]
     interior = np.s_[4:-4, :]
-    assert np.array_equal(ca.values[interior], shifted[interior])
+    assert np.array_equal(ca[interior], shifted[interior])
 
 
-def test_line_focus_riemann_sum(default_field):
-    focus = cotf.line_focus(default_field)
-    assert focus.shape == (default_field.axis("x").size, default_field.axis("z").size)
-    manual = default_field.samples.sum(axis=1)[0, 0] * default_field.spec.step_y
-    assert focus[0, 0] == manual
+def test_line_focus_riemann_sum(default_field, line_stack):
+    zero = _columns(line_stack)[line_stack.channels[0]]
+    assert zero.shape == (default_field.axis("x").size, default_field.axis("z").size)
+    focus = default_field.samples.sum(axis=1) * default_field.spec.step_y
+    assert np.array_equal(zero, (np.abs(focus) ** 2) ** 2)
+
+
+def _oracle_weight(intensity, a, b):
+    """I(r + a) I(r + b) for index offsets a, b; zero where either leaves the grid."""
+    out = np.zeros_like(intensity)
+    dst, src_a, src_b = [], [], []
+    for n, p, q in zip(intensity.shape, a, b):
+        lo, hi = max(0, -p, -q), min(n, n - p, n - q)
+        dst.append(slice(lo, hi))
+        src_a.append(slice(lo + p, hi + p))
+        src_b.append(slice(lo + q, hi + q))
+    out[tuple(dst)] = intensity[tuple(src_a)] * intensity[tuple(src_b)]
+    return out
+
+
+def test_columns_match_explicit_slices(default_field, point_stack, cross_stack):
+    step = default_field.spec.step_x
+    point = _columns(point_stack)
+    for dx, dy in ((0.75, -1.5), (-0.75, 0.0)):
+        offsets = (round(dx / step), round(dy / step), 0)
+        expected = _oracle_weight(_point_intensity(default_field), (0, 0, 0), offsets)
+        assert np.array_equal(point[((0.0, 0.0), (dx, dy))], expected)
+    cross = _columns(cross_stack)
+    for di, dd in ((0.5, -0.75), (-0.25, 0.25)):
+        offsets = ((round(di / step), 0), (round(dd / step), 0))
+        expected = _oracle_weight(_line_intensity(default_field), *offsets)
+        assert np.array_equal(cross[(di, dd)], expected)
 
 
 def test_line_decays_slower_axially(point_stack, line_stack):
@@ -71,13 +114,16 @@ def test_line_decays_slower_axially(point_stack, line_stack):
     assert line_rel > point_rel
 
 
-def test_shift_validation(default_field):
-    with pytest.raises(ValueError, match="exceeds grid extent"):
-        cotf.point_otf(default_field, (7.0, 0.0))
-    with pytest.raises(ValueError, match="integer multiple"):
-        cotf.point_otf(default_field, (0.3, 0.0))
-    with pytest.raises(ValueError, match="exceeds grid extent"):
-        cotf.cross_shift_otf(default_field, 0.0, -5.0)
+def test_shift_validation(small_field):
+    # small_field spans +-1.5 wavelengths in x and y at a 0.25 step.
+    for geometry, message in (
+        (cotf.point_grid_geometry(count=3, pitch=1.75), "detector x shift -1.75 exceeds grid extent"),
+        (cotf.point_grid_geometry(count=3, pitch=0.3), "detector x shift -0.3 is not an integer multiple"),
+        (cotf.cross_shift_geometry(3, 0.25, 3, 2.0), "detector x shift -2.0 exceeds grid extent"),
+        (cotf.cross_shift_geometry(3, 0.1, 3, 0.25), "illumination x shift -0.1 is not an integer multiple"),
+    ):
+        with pytest.raises(ValueError, match=message):
+            cotf.build_stack(small_field, geometry)
 
 
 def test_geometry_enumeration_orders_zero_first():
@@ -112,8 +158,8 @@ def test_stack_shapes_and_zero_column(small_field):
     stack = cotf.build_stack(small_field, geometry)
     assert stack.channel_count == 169
     assert stack.node_count == small_field.samples.size
-    reference = cotf.point_otf(small_field, (0.0, 0.0))
-    assert np.array_equal(stack.columns[:, 0], reference.values.ravel())
+    intensity = _point_intensity(small_field)
+    assert np.array_equal(stack.columns[:, 0], (intensity * intensity).ravel())
     assert stack.columns.flags.f_contiguous
 
 
@@ -132,8 +178,8 @@ def test_origin_node_matches_grid_center(point_stack):
     assert point_stack.columns[origin, 0] == shaped[center]
 
 
-def test_otf_grid_validation(small_field):
-    grid = cotf.point_otf(small_field, (0.0, 0.0))
+def test_otf_grid_validation(line_stack):
+    grid = cotf.zero_channel_grid(line_stack)
     with pytest.raises(ValueError, match="non-negative"):
         otf.OtfGrid(axes=grid.axes, values=-grid.values, channel=grid.channel)
     with pytest.raises(ValueError, match="shape"):

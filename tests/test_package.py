@@ -1,4 +1,8 @@
-"""Dependency surface: the package needs numpy and nothing else at runtime."""
+"""Dependency surface: the package needs numpy and nothing else at runtime,
+and keeps every name the benchmark in ``cotfbench/`` calls."""
+import ast
+import importlib
+import inspect
 import os
 import re
 import subprocess
@@ -6,6 +10,9 @@ import sys
 from pathlib import Path
 
 import pytest
+
+import cotf
+import cotf.cli
 
 ROOT = Path(__file__).resolve().parents[1]
 
@@ -32,3 +39,50 @@ def test_runtime_dependencies_are_numpy_only():
         project = tomllib.load(fh)["project"]
     names = [re.match(r"[A-Za-z0-9_.-]+", dep).group() for dep in project["dependencies"]]
     assert names == ["numpy"]
+
+
+def _traced_functions():
+    """(module, function) pairs of the benchmark tracer's ``FUNCTIONS`` and
+    the ``arguments[...]`` keys each of its counters reads, from the source."""
+    tree = ast.parse((ROOT / "cotfbench" / "tracer.py").read_text())
+    assigned = {
+        node.targets[0].id: node.value
+        for node in tree.body
+        if isinstance(node, ast.Assign) and isinstance(node.targets[0], ast.Name)
+    }
+    functions = [(module, name) for module, name, _ in ast.literal_eval(assigned["FUNCTIONS"])]
+    counters = dict(zip(
+        (key.value for key in assigned["COUNTERS"].keys),
+        (value.id for value in assigned["COUNTERS"].values),
+    ))
+    keys = {
+        node.name: {
+            sub.slice.value
+            for sub in ast.walk(node)
+            if isinstance(sub, ast.Subscript) and getattr(sub.value, "id", None) == "arguments"
+        }
+        for node in tree.body
+        if isinstance(node, ast.FunctionDef)
+    }
+    return functions, {name: keys[counter] for name, counter in counters.items()}
+
+
+def test_benchmark_api_resolves():
+    # The benchmark drives the package through these names; a rename or a
+    # deleted export breaks it.
+    functions, bound = _traced_functions()
+    assert functions and set().union(*bound.values()) == {"aperture", "grid", "path", "stack"}
+    for module, name in functions:
+        function = getattr(importlib.import_module(f"cotf.{module}"), name)
+        parameters = inspect.signature(function).parameters
+        assert bound.get(name, set()) <= set(parameters), (module, name)
+    assert callable(cotf.cli.Runner.emit) and callable(cotf.cli.main)
+    assert issubclass(cotf.optimizer.NumericalError, Exception)
+
+    source = (ROOT / "cotfbench" / "workloads.py").read_text()
+    names = set(re.findall(r"\bcotf\.([A-Za-z_]\w*)", source))
+    assert {"build_stack", "zero_channel_grid", "mainlobe_mask"} <= names
+    for name in names:
+        assert hasattr(cotf, name), name
+    for name in set(re.findall(r"\bcli\.([A-Za-z_]\w*)", source)):
+        assert hasattr(cotf.cli, name), name

@@ -79,8 +79,12 @@ def test_depth_out_of_range(point_stack):
         cotf.depth_target_mask(reference, 4.5)
 
 
-def test_mainlobe_requires_zero_channel(default_field):
-    shifted = cotf.point_otf(default_field, (0.25, 0.0))
+def test_mainlobe_requires_zero_channel(point_stack):
+    shifted = cotf.OtfGrid(
+        axes=point_stack.axes,
+        values=point_stack.columns[:, 1].reshape(point_stack.grid_shape),
+        channel=point_stack.channels[1],
+    )
     with pytest.raises(ValueError, match="zero-shift"):
         cotf.mainlobe_mask(shifted)
 
