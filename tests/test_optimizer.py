@@ -38,6 +38,36 @@ def _with_duplicate(t):
     return np.column_stack([t, t[:, 1]])
 
 
+def _duplicate_toy():
+    rng = np.random.default_rng(3)
+    t = np.abs(rng.standard_normal((400, 6))) + 0.01
+    return _toy_stack(_with_duplicate(t)), _toy_mask(rng.random(400) < 0.3)
+
+
+@pytest.mark.parametrize("name", ["point", "line", "cross", "duplicate"])
+def test_gram_spectrum_matches_svd(request, name):
+    """eigh(A + B) against an SVD of T: the same singular values above the
+    floor, the same numerical rank as the SVD floor sigma_1 * max(K, N) * eps,
+    and the floor in a wide gap of the spectrum."""
+    if name == "duplicate":
+        stack, mask = _duplicate_toy()
+    else:
+        stack, mask = request.getfixturevalue(f"{name}_stack"), request.getfixturevalue(f"{name}_mask")
+    prep = optimizer._prepare(stack, mask)
+    t = stack.columns
+    sigma = np.linalg.svd(t, compute_uv=False)
+    resolved = prep.resolved
+    assert np.allclose(prep.singular_values[resolved], sigma[resolved], rtol=1e-6, atol=0.0)
+    eps = np.finfo(np.float64).eps
+    assert resolved.sum() == np.sum(sigma >= sigma[0] * max(t.shape) * eps)
+    lam = np.linalg.eigvalsh(prep.a_full + prep.b_full)[::-1]
+    floor = lam[0] * max(t.shape) * eps
+    assert lam[resolved].min() >= 100.0 * floor
+    assert np.all(np.abs(lam[~resolved]) <= 0.01 * floor)
+    if name in ("cross", "duplicate"):
+        assert not resolved.all()
+
+
 def test_scale_invariance():
     rng = np.random.default_rng(11)
     t = np.abs(rng.standard_normal((60, 4))) + 0.01
@@ -115,14 +145,16 @@ def test_cross_sweep_above_spectral_gap(cross_stack, cross_mask):
 
 
 def test_frozen_conventional_objective(point_stack, point_mask):
-    value = cotf.conventional_objective(point_stack, point_mask)
-    assert np.isclose(value, 1048.098409, rtol=1e-6)
+    result = cotf.solve(point_stack, point_mask)
+    assert np.isclose(result.objective / result.improvement_factor, 1048.098409, rtol=1e-6)
 
 
 def test_improvement_matches_objective_ratio(point_sweep, point_stack, point_mask):
-    conventional = cotf.conventional_objective(point_stack, point_mask)
-    for result in point_sweep:
-        assert np.isclose(result.improvement_factor * conventional, result.objective, rtol=1e-12)
+    t0 = point_stack.columns[:, 0]
+    f = point_mask.focal.astype(np.float64)
+    conventional = np.sum(f * t0**2) / np.sum((1.0 - f) * t0**2)
+    for result in (cotf.solve(point_stack, point_mask), *point_sweep):
+        assert np.isclose(result.objective / result.improvement_factor, conventional, rtol=1e-12)
 
 
 def test_sweep_ordering_validation(point_stack, point_mask, point_sweep):
@@ -220,12 +252,12 @@ def test_degenerate_conventional_errors():
     t[:, 1] = 1.0
     stack = _toy_stack(t)
     with pytest.raises(cotf.NumericalError, match="out-of-focus"):
-        cotf.conventional_objective(stack, _toy_mask([1, 0, 0, 0]))
+        cotf.solve(stack, _toy_mask([1, 0, 0, 0]))
     t2 = np.zeros((4, 2))
     t2[3, 0] = 1.0  # pinhole weight only outside the focal region
     t2[:, 1] = 1.0
     with pytest.raises(cotf.NumericalError, match="focal"):
-        cotf.conventional_objective(_toy_stack(t2), _toy_mask([1, 0, 0, 0]))
+        cotf.solve(_toy_stack(t2), _toy_mask([1, 0, 0, 0]))
 
 
 def test_incompatible_mask_rejected(line_stack):
