@@ -1,11 +1,13 @@
 """Derived figures of merit: defocus rejection, shift sweeps, aperture
-sweeps, sections, and their CSV emitters.
+sweeps and sections.
 
 Everything here consumes the measurement stack and a coefficient vector;
-nothing feeds back into the optimizer.  Plane sums follow the convention
-that the combined transfer function is summed in absolute value (it has
-negative sidelobes by design), while the conventional channel is summed
-raw (it is non-negative).
+nothing feeds back into the optimizer.  Nothing here writes a file either:
+the command line turns each product into rows for its one CSV writer,
+``cli.Runner.emit_csv``.  Plane sums follow the convention that the
+combined transfer function is summed in absolute value (it has negative
+sidelobes by design), while the conventional channel is summed raw (it is
+non-negative).
 """
 from __future__ import annotations
 
@@ -15,7 +17,7 @@ from typing import Sequence
 import numpy as np
 
 from .debye import DEFAULT_GRID, ApertureSpec, FieldGrid, GridSpec, simulate_field
-from .optimizer import CombinationResult, TruncationPolicy, solve
+from .optimizer import TruncationPolicy, solve
 from .otf import POINT_ARRAY, OtfGrid, OtfStack, ScanGeometry, _channel_weight, _intensity, build_stack
 from .regions import RegionMask, mainlobe_mask
 
@@ -121,15 +123,13 @@ def na_sweep(
                 "half_angle": float(alpha),
                 "numerical_aperture": aperture.numerical_aperture,
                 "improvement_factors": [r.improvement_factor for r in results],
-                "objectives": [r.objective for r in results],
-                "ranks_used": [r.rank_used for r in results],
             }
         )
     return rows
 
 
 # ---------------------------------------------------------------------------
-# sections and CSV emitters
+# sections
 
 def axial_section(axes: tuple, values: np.ndarray) -> tuple:
     """(x, z, matrix) cross-section through y = 0; rows are z, columns x."""
@@ -139,64 +139,3 @@ def axial_section(axes: tuple, values: np.ndarray) -> tuple:
     else:
         matrix = values.T
     return axes[0], axes[-1], np.ascontiguousarray(matrix)
-
-
-def export_defocus_csv(curve: DefocusCurve, path) -> None:
-    with open(path, "w", newline="") as fh:
-        fh.write("depth,conventional,computational,ratio\n")
-        for row in zip(curve.depths, curve.conventional, curve.computational, curve.ratio):
-            fh.write(",".join(f"{v:.17g}" for v in row) + "\n")
-
-
-def export_shift_power_csv(curve: ShiftPowerCurve, path) -> None:
-    with open(path, "w", newline="") as fh:
-        fh.write("shift,focal_power,out_of_focus_power\n")
-        for row in zip(curve.shifts, curve.focal, curve.out_of_focus):
-            fh.write(",".join(f"{v:.17g}" for v in row) + "\n")
-
-
-def export_section_csv(axes: tuple, values: np.ndarray, path) -> None:
-    """Axial section as a matrix: first column z, remaining columns one per x."""
-    x, z, matrix = axial_section(axes, values)
-    with open(path, "w", newline="") as fh:
-        fh.write("z\\x," + ",".join(f"{v:.17g}" for v in x) + "\n")
-        for zi, row in zip(z, matrix):
-            fh.write(f"{zi:.17g}," + ",".join(f"{v:.17g}" for v in row) + "\n")
-
-
-def export_coefficients_csv(stack: OtfStack, result: CombinationResult, path) -> None:
-    """One row per channel in column order: shifts then coefficient."""
-    point_like = isinstance(stack.channels[0][1], tuple)
-    with open(path, "w", newline="") as fh:
-        if point_like:
-            fh.write("illumination_x,illumination_y,detector_x,detector_y,coefficient\n")
-            for ch, c in zip(stack.channels, result.coefficients):
-                (ix, iy), (dx, dy) = ch
-                fh.write(f"{ix:.17g},{iy:.17g},{dx:.17g},{dy:.17g},{c:.17g}\n")
-        else:
-            fh.write("illumination_x,detector_x,coefficient\n")
-            for ch, c in zip(stack.channels, result.coefficients):
-                fh.write(f"{ch[0]:.17g},{ch[1]:.17g},{c:.17g}\n")
-
-
-def export_sweep_csv(results: Sequence[CombinationResult], path) -> None:
-    """Objective and improvement per truncation level; first row untruncated."""
-    with open(path, "w", newline="") as fh:
-        fh.write("threshold_db,rank_used,objective,improvement_factor\n")
-        for res in results:
-            db = res.policy.threshold_db
-            label = "none" if db is None else f"{db:.17g}"
-            fh.write(
-                f"{label},{res.rank_used},{res.objective:.17g},{res.improvement_factor:.17g}\n"
-            )
-
-
-def export_na_sweep_csv(rows: Sequence[dict], policies: Sequence[TruncationPolicy], path) -> None:
-    labels = [
-        "none" if p.threshold_db is None else f"{p.threshold_db:g}dB" for p in policies
-    ]
-    with open(path, "w", newline="") as fh:
-        fh.write("half_angle_rad,numerical_aperture," + ",".join(f"improvement_{l}" for l in labels) + "\n")
-        for row in rows:
-            vals = ",".join(f"{v:.17g}" for v in row["improvement_factors"])
-            fh.write(f"{row['half_angle']:.17g},{row['numerical_aperture']:.17g},{vals}\n")

@@ -4,7 +4,9 @@ Subcommands cover the pipeline stages (field, otfs, optimize, analyze,
 sweep) plus ``reproduce``, which regenerates the reference figure datasets
 listed in ``FIGURES``.  All artifacts land in the output directory together
 with a ``manifest.json`` listing each file's SHA-256; identical
-configurations produce bit-identical artifacts.
+configurations produce bit-identical artifacts.  Every CSV is written by
+``Runner.emit_csv``, every number in it at ``.17g``, and every JSON file by
+``_write_json``.
 
 Exit codes: 0 success, 2 configuration error, 3 runtime/numerical failure.
 """
@@ -250,19 +252,29 @@ class Runner:
         self.emitted[name] = hashlib.sha256(path.read_bytes()).hexdigest()
         return path
 
-    def emit_json(self, name: str, payload) -> Path:
+    def emit_csv(self, name: str, header, rows) -> Path:
+        """The header, then one line per row: strings as given, every number
+        at ``.17g``, so the text reads back to the same float."""
+
         def writer(path):
-            with open(path, "w") as fh:
-                json.dump(payload, fh, indent=2, sort_keys=True)
-                fh.write("\n")
+            with open(path, "w", newline="") as fh:
+                for row in (header, *rows):
+                    fh.write(",".join(v if isinstance(v, str) else f"{v:.17g}" for v in row) + "\n")
 
         return self.emit(name, writer)
 
+    def emit_json(self, name: str, payload) -> Path:
+        return self.emit(name, lambda path: _write_json(path, payload))
+
     def write_manifest(self, command: str) -> None:
         manifest = {"command": command, "files": dict(sorted(self.emitted.items()))}
-        with open(self.out / "manifest.json", "w") as fh:
-            json.dump(manifest, fh, indent=2, sort_keys=True)
-            fh.write("\n")
+        _write_json(self.out / "manifest.json", manifest)
+
+
+def _write_json(path, payload) -> None:
+    with open(path, "w") as fh:
+        json.dump(payload, fh, indent=2, sort_keys=True)
+        fh.write("\n")
 
 
 def _level_label(db: float | None) -> str:
@@ -278,23 +290,22 @@ def _by_level(levels, results) -> list:
 
 
 # ---------------------------------------------------------------------------
-# products: one writer each, called by the subcommands and the figures
+# products: one row builder each for ``Runner.emit_csv``, called by the
+# subcommands and the figures
+
+def _emit_section(runner: Runner, name: str, axes: tuple, values) -> None:
+    """Axial section as a matrix: first column z, remaining columns one per x."""
+    x, z, matrix = analysis.axial_section(axes, values)
+    runner.emit_csv(name, ("z\\x", *x), ((zi, *row) for zi, row in zip(z, matrix)))
+
 
 def _emit_zero_section(runner: Runner, name: str, stack: otf.OtfStack) -> None:
-    reference = analysis.zero_channel_grid(stack)
-    runner.emit(name, lambda p: analysis.export_section_csv(reference.axes, reference.values, p))
+    _emit_section(runner, name, stack.axes, analysis.zero_channel_grid(stack).values)
 
 
 def _emit_radial_profile(runner: Runner, name: str) -> None:
     radii, intensities = debye.radial_profile(runner.field(), 0.0)
-
-    def writer(path):
-        with open(path, "w", newline="") as fh:
-            fh.write("radius,intensity\n")
-            for r, v in zip(radii, intensities):
-                fh.write(f"{r:.17g},{v:.17g}\n")
-
-    runner.emit(name, writer)
+    runner.emit_csv(name, ("radius", "intensity"), zip(radii, intensities))
 
 
 def _emit_shift_power(runner: Runner, name: str, mask: regions.RegionMask) -> None:
@@ -302,36 +313,49 @@ def _emit_shift_power(runner: Runner, name: str, mask: regions.RegionMask) -> No
     step = 2.0 * runner.cfg.grid.step_x
     count = int(math.floor(runner.cfg.grid.extent_x / step)) + 1
     curve = analysis.power_vs_shift(runner.field(), mask, [step * i for i in range(count)])
-    runner.emit(name, lambda p: analysis.export_shift_power_csv(curve, p))
+    header = ("shift", "focal_power", "out_of_focus_power")
+    runner.emit_csv(name, header, zip(curve.shifts, curve.focal, curve.out_of_focus))
 
 
 def _emit_coefficients(runner: Runner, name: str, stack: otf.OtfStack, result) -> None:
-    runner.emit(name, lambda p: analysis.export_coefficients_csv(stack, result, p))
+    """One row per channel in column order: shifts, (x, y) on point scans,
+    then coefficient."""
+    point = isinstance(stack.channels[0][1], tuple)
+    axes = ("x", "y") if point else ("x",)
+    header = (*(f"{role}_{a}" for role in ("illumination", "detector") for a in axes), "coefficient")
+    rows = ((*(ill + det if point else (ill, det)), c)
+            for (ill, det), c in zip(stack.channels, result.coefficients))
+    runner.emit_csv(name, header, rows)
 
 
 def _emit_cotf_section(runner: Runner, name: str, stack: otf.OtfStack, result) -> None:
-    shaped = analysis.reshape_node_vector(stack, result.cotf)
-    runner.emit(name, lambda p: analysis.export_section_csv(stack.axes, shaped, p))
+    _emit_section(runner, name, stack.axes, analysis.reshape_node_vector(stack, result.cotf))
 
 
 def _emit_defocus(runner: Runner, name: str, stack: otf.OtfStack, result) -> None:
     curve = analysis.defocus_curve(stack, result.cotf)
-    runner.emit(name, lambda p: analysis.export_defocus_csv(curve, p))
+    header = ("depth", "conventional", "computational", "ratio")
+    runner.emit_csv(name, header, zip(curve.depths, curve.conventional, curve.computational, curve.ratio))
 
 
 def _emit_sweep(runner: Runner, name: str, results: list) -> None:
-    runner.emit(name, lambda p: analysis.export_sweep_csv(results, p))
+    """Objective and improvement per truncation level; first row untruncated."""
+    header = ("threshold_db", "rank_used", "objective", "improvement_factor")
+    rows = ((r.policy.threshold_db or "none", r.rank_used, r.objective, r.improvement_factor)
+            for r in results)
+    runner.emit_csv(name, header, rows)
 
 
 def _emit_na_sweep(runner: Runner, name: str, geometry: otf.ScanGeometry, db: float) -> None:
     """Improvement at ``db`` for half-angles 45-60 degrees, mainlobe mask."""
-    policies = [runner.policy(db)]
     aperture = runner.cfg.aperture
-    rows = analysis.na_sweep(
-        [math.radians(a) for a in (45.0, 50.0, 55.0, 60.0)], geometry, policies=policies,
+    sweep = analysis.na_sweep(
+        [math.radians(a) for a in (45.0, 50.0, 55.0, 60.0)], geometry, policies=[runner.policy(db)],
         grid=runner.cfg.grid, n_theta=aperture.n_theta, n_phi=aperture.n_phi,
     )
-    runner.emit(name, lambda p: analysis.export_na_sweep_csv(rows, policies, p))
+    header = ("half_angle_rad", "numerical_aperture", f"improvement_{db:g}dB")
+    rows = ((r["half_angle"], r["numerical_aperture"], *r["improvement_factors"]) for r in sweep)
+    runner.emit_csv(name, header, rows)
 
 
 # ---------------------------------------------------------------------------
@@ -351,7 +375,12 @@ def _cmd_field(runner: Runner) -> None:
 
 def _cmd_otfs(runner: Runner) -> None:
     stack = runner.stack(runner.cfg.geometry)
-    runner.emit("stack_meta.json", lambda p: otf.export_stack_metadata(stack, p))
+    runner.emit_json("stack_meta.json", {
+        "grid_shape": stack.grid_shape,
+        "node_count": stack.node_count,
+        "channel_count": stack.channel_count,
+        "channels": [{"illumination": ill, "detector": det} for ill, det in stack.channels],
+    })
     _emit_zero_section(runner, "otf0_section.csv", stack)
 
 

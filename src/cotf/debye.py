@@ -19,7 +19,7 @@ import numpy as np
 WAVELENGTH = 1.0
 K = 2.0 * np.pi
 
-#: simulate_field refuses grids with more nodes than this by default.
+#: simulate_field refuses grids with more nodes than this.
 DEFAULT_NODE_BUDGET = 16_000_000
 
 
@@ -130,19 +130,15 @@ def aperture_quadrature(aperture: ApertureSpec):
     return theta, weights, phi
 
 
-def simulate_field(
-    aperture: ApertureSpec,
-    grid: GridSpec,
-    node_budget: int = DEFAULT_NODE_BUDGET,
-) -> FieldGrid:
+def simulate_field(aperture: ApertureSpec, grid: GridSpec) -> FieldGrid:
     """Integrate the aperture plane-wave superposition over the grid.
 
     Deterministic for fixed inputs: the quadrature reduction order per node
-    is fixed.
+    is fixed.  Grids over ``DEFAULT_NODE_BUDGET`` nodes raise MemoryError.
     """
-    if grid.node_count > node_budget:
+    if grid.node_count > DEFAULT_NODE_BUDGET:
         raise MemoryError(
-            f"grid has {grid.node_count} nodes, exceeding the budget of {node_budget}"
+            f"grid has {grid.node_count} nodes, exceeding the budget of {DEFAULT_NODE_BUDGET}"
         )
     theta, weights, phi = aperture_quadrature(aperture)
     acc = _accumulate(grid.axis("x"), grid.axis("y"), grid.axis("z"), theta, weights, phi)

@@ -196,7 +196,13 @@ def _solve_prepared(stack: OtfStack, prep: _Prepared, policy: TruncationPolicy) 
     coefficients = basis @ (w @ eigenvectors[:, -1])
     coefficients = coefficients / np.linalg.norm(coefficients)
     cotf = stack.columns @ coefficients
-    if cotf[prep.origin] < 0:
+    # Orient the optimum positive at the origin.  Where it is odd in x the
+    # origin value is rounding noise, and the first coefficient above 1e-9
+    # of the largest is made positive instead.
+    sign = cotf[prep.origin]
+    if abs(sign) <= 1e-9 * np.abs(cotf).max():
+        sign = coefficients[np.argmax(np.abs(coefficients) > 1e-9 * np.abs(coefficients).max())]
+    if sign < 0:
         coefficients = -coefficients
         cotf = -cotf
 

@@ -16,10 +16,11 @@ built from one intensity, computed once per stack:
 A weight is zero where a shift leaves the grid.  Stacking the vectorized
 channel weights column by column gives the K x N matrix consumed by the
 optimizer; column 0 is always the conventional (zero-shift) channel.
+Nothing here writes a file: ``cotf otfs`` writes a stack's channel list
+as ``stack_meta.json``.
 """
 from __future__ import annotations
 
-import json
 from dataclasses import dataclass, field as dataclass_field
 
 import numpy as np
@@ -257,28 +258,3 @@ def _offsets(shift, axes: tuple, role: str) -> tuple:
     return tuple(
         _index_offset(s, axis, f"{role} {name}") for s, axis, name in zip(parts, axes, "xy")
     ) + (0,)
-
-
-# ---------------------------------------------------------------------------
-# exports
-
-def export_stack_metadata(stack: OtfStack, path) -> None:
-    """JSON sidecar listing channels in column order."""
-    meta = {
-        "grid_shape": list(stack.grid_shape),
-        "node_count": stack.node_count,
-        "channel_count": stack.channel_count,
-        "channels": [
-            {"illumination": _jsonify(ch[0]), "detector": _jsonify(ch[1])}
-            for ch in stack.channels
-        ],
-    }
-    with open(path, "w") as fh:
-        json.dump(meta, fh, indent=2, sort_keys=True)
-        fh.write("\n")
-
-
-def _jsonify(shift):
-    if isinstance(shift, tuple):
-        return list(shift)
-    return shift

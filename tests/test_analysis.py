@@ -1,5 +1,5 @@
 """Analysis tests: defocus curves, shift power, aperture sweep, sections,
-and CSV emitters."""
+and the CSV products the command line writes from them."""
 import csv
 import math
 
@@ -7,7 +7,7 @@ import numpy as np
 import pytest
 
 import cotf
-from cotf import analysis
+from cotf import analysis, cli
 
 
 @pytest.fixture(scope="module")
@@ -96,39 +96,37 @@ def test_axial_section_orientation(point_stack, point_20db):
     assert matrix[3, 5] == shaped[5, iy, 3]
 
 
-def test_csv_emitters(tmp_path, point_stack, point_mask, point_20db, default_field, point_sweep):
+def test_csv_emitters(tmp_path, monkeypatch, point_stack, point_mask, point_20db, default_field, point_sweep):
+    # The command line's product writers, each through Runner.emit_csv.
+    runner = cli.Runner(cli.RunConfig(), tmp_path, use_cache=False)
+    monkeypatch.setattr(runner, "field", lambda: default_field)
+
     curve = cotf.defocus_curve(point_stack, point_20db.cotf)
-    defocus_path = tmp_path / "defocus.csv"
-    analysis.export_defocus_csv(curve, defocus_path)
-    with open(defocus_path) as fh:
+    cli._emit_defocus(runner, "defocus.csv", point_stack, point_20db)
+    with open(tmp_path / "defocus.csv") as fh:
         rows = list(csv.DictReader(fh))
     assert len(rows) == curve.depths.size
     assert float(rows[len(rows) // 2]["ratio"]) == 1.0
 
-    power = cotf.power_vs_shift(default_field, point_mask, [0.0, 0.25])
-    power_path = tmp_path / "power.csv"
-    analysis.export_shift_power_csv(power, power_path)
-    lines = power_path.read_text().splitlines()
+    cli._emit_shift_power(runner, "power.csv", point_mask)  # shifts 0 .. 3 at 0.25
+    lines = (tmp_path / "power.csv").read_text().splitlines()
     assert lines[0] == "shift,focal_power,out_of_focus_power"
-    assert len(lines) == 3
+    assert len(lines) == 1 + 13
 
-    section_path = tmp_path / "section.csv"
-    shaped = analysis.reshape_node_vector(point_stack, point_20db.cotf)
-    analysis.export_section_csv(point_stack.axes, shaped, section_path)
-    lines = section_path.read_text().splitlines()
+    cli._emit_cotf_section(runner, "section.csv", point_stack, point_20db)
+    lines = (tmp_path / "section.csv").read_text().splitlines()
     assert len(lines) == 1 + point_stack.axes[2].size
     assert len(lines[1].split(",")) == 1 + point_stack.axes[0].size
 
-    coeff_path = tmp_path / "coeff.csv"
-    analysis.export_coefficients_csv(point_stack, point_20db, coeff_path)
-    with open(coeff_path) as fh:
+    cli._emit_coefficients(runner, "coeff.csv", point_stack, point_20db)
+    with open(tmp_path / "coeff.csv") as fh:
         rows = list(csv.DictReader(fh))
     assert len(rows) == point_stack.channel_count
     assert np.isclose(float(rows[0]["coefficient"]), point_20db.coefficients[0], rtol=1e-15)
 
-    sweep_path = tmp_path / "sweep.csv"
-    analysis.export_sweep_csv(point_sweep, sweep_path)
-    with open(sweep_path) as fh:
+    cli._emit_sweep(runner, "sweep.csv", point_sweep)
+    with open(tmp_path / "sweep.csv") as fh:
         rows = list(csv.DictReader(fh))
     assert [r["threshold_db"] for r in rows] == ["none", "30", "20", "10"]
     assert [int(r["rank_used"]) for r in rows] == [25, 25, 14, 2]
+    assert set(runner.emitted) == {"defocus.csv", "power.csv", "section.csv", "coeff.csv", "sweep.csv"}

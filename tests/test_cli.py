@@ -10,6 +10,7 @@ from pathlib import Path
 import pytest
 
 import cotf
+from cotf import cli
 from cotf.cli import main
 
 TINY = {
@@ -234,6 +235,15 @@ def test_defaults_live_in_the_dataclasses(tmp_path):
         path = tmp_path / f"{kind}.ini"
         path.write_text(f"[geometry]\nkind = {kind}\n")
         assert cotf.cli.load_config(str(path)).geometry == geometry
+
+
+def test_emit_csv_bytes(tmp_path):
+    runner = cli.Runner(cli.RunConfig(), tmp_path, use_cache=False)
+    path = runner.emit_csv("row.csv", ("threshold_db", "rank_used", "objective", "ratio"),
+                           [("none", 25, 0.1, float("nan"))])
+    data = path.read_bytes()
+    assert data == b"threshold_db,rank_used,objective,ratio\nnone,25,0.10000000000000001,nan\n"
+    assert runner.emitted == {"row.csv": hashlib.sha256(data).hexdigest()}
 
 
 def test_manifest_checksums_match_files(tmp_path):

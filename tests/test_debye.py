@@ -115,8 +115,10 @@ def test_spec_validation():
 
 
 def test_node_budget():
+    # 1601^3 nodes: refused before any quadrature runs.
+    grid = cotf.GridSpec(100.0, 100.0, 100.0, 0.125, 0.125, 0.125)
     with pytest.raises(MemoryError, match="budget"):
-        cotf.simulate_field(cotf.DEFAULT_APERTURE, cotf.DEFAULT_GRID, node_budget=10)
+        cotf.simulate_field(cotf.DEFAULT_APERTURE, grid)
 
 
 def test_grid_axes_hit_origin():

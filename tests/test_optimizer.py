@@ -112,6 +112,17 @@ def test_coefficients_unit_norm_and_sign(point_sweep, point_stack):
         assert np.allclose(result.cotf, point_stack.columns @ result.coefficients)
 
 
+def test_odd_optimum_oriented_by_first_coefficient(line_stack):
+    # Line 7, 0.5 lambda depth target, 10 dB amplitude: the optimum is odd in
+    # x, so its origin value is rounding noise and cannot fix the sign.
+    mask = cotf.depth_target_mask(cotf.zero_channel_grid(line_stack), 0.5)
+    result = cotf.solve(line_stack, mask, cotf.TruncationPolicy(10.0, cotf.AMPLITUDE))
+    c = result.coefficients
+    assert abs(result.cotf[line_stack.origin_node()]) < 1e-9 * np.abs(result.cotf).max()
+    assert c[np.abs(c) > 1e-9 * np.abs(c).max()][0] > 0
+    assert np.allclose(result.cotf, line_stack.columns @ c)
+
+
 def test_frozen_point_sweep(point_sweep):
     improvements = [r.improvement_factor for r in point_sweep]
     expected = [5.887490, 5.887490, 5.821152, 4.349816]

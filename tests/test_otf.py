@@ -1,12 +1,13 @@
 """Channel-weight tests: stack columns against their formulas, symmetries,
-shift validation, geometry enumeration, stacking, and exports."""
+shift validation, geometry enumeration, stacking, and the stack metadata
+``cotf otfs`` writes."""
 import json
 
 import numpy as np
 import pytest
 
 import cotf
-from cotf import otf
+from cotf import cli, otf
 
 
 def _columns(stack):
@@ -186,10 +187,12 @@ def test_otf_grid_validation(line_stack):
         otf.OtfGrid(axes=grid.axes, values=grid.values[:-1], channel=grid.channel)
 
 
-def test_export_stack_metadata(line_stack, tmp_path):
-    path = tmp_path / "stack.json"
-    otf.export_stack_metadata(line_stack, path)
-    meta = json.loads(path.read_text())
+def test_export_stack_metadata(default_field, line_stack, tmp_path, monkeypatch):
+    # ``cotf otfs`` on the line geometry writes the stack's channel list.
+    runner = cli.Runner(cli.RunConfig(geometry=cotf.DEFAULT_LINE_GEOMETRY), tmp_path, use_cache=False)
+    monkeypatch.setattr(runner, "field", lambda: default_field)
+    cli._cmd_otfs(runner)
+    meta = json.loads((tmp_path / "stack_meta.json").read_text())
     assert meta["channel_count"] == line_stack.channel_count
     assert meta["node_count"] == line_stack.node_count
     assert meta["channels"][0] == {"detector": 0.0, "illumination": 0.0}

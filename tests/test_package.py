@@ -86,3 +86,17 @@ def test_benchmark_api_resolves():
         assert hasattr(cotf, name), name
     for name in set(re.findall(r"\bcli\.([A-Za-z_]\w*)", source)):
         assert hasattr(cotf.cli, name), name
+
+    # ``record_reference.py`` re-records the benchmark's reference values
+    # through these names and keyword arguments.
+    tree = ast.parse((ROOT / "cotfbench" / "record_reference.py").read_text())
+    keywords = {}
+    for node in ast.walk(tree):
+        if isinstance(node, ast.Attribute) and getattr(node.value, "id", None) == "cotf":
+            assert hasattr(cotf, node.attr), node.attr
+        if isinstance(node, ast.Call) and getattr(getattr(node.func, "value", None), "id", None) == "cotf":
+            keywords.setdefault(node.func.attr, set()).update(k.arg for k in node.keywords)
+    assert keywords["na_sweep"] == {"policies", "grid", "n_theta", "n_phi"}
+    assert keywords["TruncationPolicy"] == {"threshold_db", "convention"}
+    for name, passed in keywords.items():
+        assert passed <= set(inspect.signature(getattr(cotf, name)).parameters), name
