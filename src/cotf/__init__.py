@@ -4,7 +4,7 @@ The pipeline has four stages, each usable on its own:
 
 1. :mod:`cotf.debye` — scalar focal-field simulation over a 3D grid.
 2. :mod:`cotf.otf` — the measurement matrix: one channel weight per
-   column, for point-scan, line-scan and cross-shift detector geometries.
+   column, for point-scan and line-scan (cross-shift) geometries.
 3. :mod:`cotf.regions` — focal / out-of-focus grid partitions.
 4. :mod:`cotf.optimizer` / :mod:`cotf.analysis` — regularized optimal
    channel weights and derived figures of merit.

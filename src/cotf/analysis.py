@@ -18,7 +18,7 @@ import numpy as np
 
 from .debye import DEFAULT_GRID, ApertureSpec, FieldGrid, GridSpec, simulate_field
 from .optimizer import TruncationPolicy, solve
-from .otf import POINT_ARRAY, OtfGrid, OtfStack, ScanGeometry, _channel_weight, _intensity, build_stack
+from .otf import POINT_ARRAY, OtfGrid, OtfStack, ScanGeometry, build_stack, channel_weight, intensity
 from .regions import RegionMask, mainlobe_mask
 
 
@@ -87,11 +87,11 @@ def power_vs_shift(field: FieldGrid, mask: RegionMask, shifts: Sequence[float]) 
     shift beyond which a detector element sees mostly defocused light."""
     f = mask.focal.astype(np.float64)
     g = mask.out_of_focus.astype(np.float64)
-    axes, intensity = _intensity(field, POINT_ARRAY)
+    axes, source = intensity(field, POINT_ARRAY)
     focal = np.empty(len(shifts))
     oof = np.empty(len(shifts))
     for n, s in enumerate(shifts):
-        v = _channel_weight(intensity, axes, (0.0, 0.0), (float(s), 0.0)).ravel()
+        v = channel_weight(source, axes, (0.0, 0.0), (float(s), 0.0)).ravel()
         focal[n] = float(v @ f)
         oof[n] = float(v @ g)
     return ShiftPowerCurve(shifts=np.asarray(shifts, dtype=np.float64), focal=focal, out_of_focus=oof)

@@ -57,7 +57,7 @@ _SCHEMA = {
     "geometry": {"kind", *_GEOMETRY_FACTORIES["cross"][1]},
     "mask": {"kind", "depth_wavelengths"},
     "policies": {"levels"},
-    "outputs": {"directory", "db_convention"},
+    "outputs": {"db_convention"},
 }
 
 _MASK_KINDS = ("mainlobe", "depth_target")
@@ -72,7 +72,6 @@ class RunConfig:
     geometry: otf.ScanGeometry = otf.DEFAULT_POINT_GEOMETRY
     mask_depth: float | None = None  # depth-target depth; None selects the mainlobe mask
     levels: tuple = (None, 30.0, 20.0, 10.0)
-    directory: str = "out"
     convention: str = optimizer.POWER
 
     def field_key(self) -> str:
@@ -141,7 +140,6 @@ def load_config(path: str | None) -> RunConfig:
     mask_kind = _get(parser, "mask", "kind", str, "mainlobe")
     mask_depth = _get(parser, "mask", "depth_wavelengths", float, RunConfig.mask_depth)
     levels = _get(parser, "policies", "levels", _parse_levels, RunConfig.levels)
-    directory = _get(parser, "outputs", "directory", str, RunConfig.directory)
     convention = _get(parser, "outputs", "db_convention", str, RunConfig.convention)
 
     try:
@@ -166,7 +164,6 @@ def load_config(path: str | None) -> RunConfig:
         geometry=geometry,
         mask_depth=mask_depth,
         levels=levels,
-        directory=directory,
         convention=convention,
     )
 
@@ -493,7 +490,9 @@ def _figure_table() -> str:
         mask = "mainlobe" if spec.depth is None else f"depth {spec.depth:g}"
         levels = ",".join(_level_label(db) for db in spec.levels) or "-"
         products = ", ".join(spec.products)
-        lines.append(f"  {figure:>2}  {spec.geometry.kind:<16}  {mask:<8}  {levels:<19}  {products}")
+        g = spec.geometry  # kind and illumination x detector counts, e.g. line 9x7
+        layout = f"{g.kind.partition('_')[0]} {len(g.illumination_shifts) or 1}x{len(g.detector_shifts)}"
+        lines.append(f"  {figure:>2}  {layout:<16}  {mask:<8}  {levels:<19}  {products}")
     return "\n".join(lines)
 
 
@@ -506,7 +505,7 @@ def build_parser() -> argparse.ArgumentParser:
         description="Confocal transfer-function simulation and channel-combination optimizer.",
     )
     parser.add_argument("--config", help="INI configuration file")
-    parser.add_argument("--out", help="output directory (overrides the config)")
+    parser.add_argument("--out", default="out", help="output directory (default: %(default)s)")
     parser.add_argument("--no-cache", action="store_true", help="disable the field cache")
     sub = parser.add_subparsers(dest="command", required=True)
     sub.add_parser("field", help="simulate and store the focal field")
@@ -535,8 +534,7 @@ def main(argv=None) -> int:
     except ConfigError as exc:
         print(f"config error: {exc}", file=sys.stderr)
         return 2
-    out_dir = Path(args.out if args.out is not None else cfg.directory)
-    runner = Runner(cfg, out_dir, use_cache=not args.no_cache)
+    runner = Runner(cfg, Path(args.out), use_cache=not args.no_cache)
     handlers = {
         "field": _cmd_field,
         "otfs": _cmd_otfs,

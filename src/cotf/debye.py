@@ -191,8 +191,8 @@ def radial_profile(field: FieldGrid, z: float):
 
 
 # ---------------------------------------------------------------------------
-# binary cache format: ASCII key=value header, then little-endian float64
-# (re, im) pairs with x varying fastest.
+# binary cache format: ASCII key=value header, then little-endian complex128
+# samples (re, im float64 pairs) with x varying fastest.
 
 _MAGIC = "cotf-field-v1"
 
@@ -206,15 +206,10 @@ def dump_field(field: FieldGrid, path) -> None:
         header.write(f"step_{name}={getattr(spec, 'step_' + name)!r}\n")
     header.write("data=complex128-le-interleaved-xfastest\n")
     header.write("end=1\n")
-    # x-fastest ordering: transpose so the C-order ravel runs x first.
-    flat = field.samples.transpose(2, 1, 0).ravel()
-    raw = np.empty(flat.size * 2, dtype="<f8")
-    raw[0::2] = flat.real
-    raw[1::2] = flat.imag
     tmp = f"{path}.{os.getpid()}.tmp"  # renamed over path: never seen partial
     with open(tmp, "wb") as fh:
         fh.write(header.getvalue().encode("ascii"))
-        fh.write(raw.tobytes())
+        fh.write(field.samples.astype("<c16", copy=False).ravel(order="F"))
     os.replace(tmp, path)
 
 
@@ -236,11 +231,8 @@ def load_field(path) -> FieldGrid:
             raise ValueError(f"field file header lacks {', '.join(missing)}: {path}")
         spec = GridSpec(*(float(keys[f"extent_{n}"]) for n in "xyz"),
                         *(float(keys[f"step_{n}"]) for n in "xyz"))
-        raw = np.frombuffer(fh.read(), dtype="<f8")
-    expected = 2 * spec.node_count
-    if raw.size != expected:
-        raise ValueError(f"field payload has {raw.size} floats, expected {expected}")
-    flat = raw[0::2] + 1j * raw[1::2]
-    nx, ny, nz = spec.shape
-    samples = flat.reshape(nz, ny, nx).transpose(2, 1, 0)
+        payload = fh.read()
+    if len(payload) != 16 * spec.node_count:
+        raise ValueError(f"field payload has {len(payload)} bytes, expected {16 * spec.node_count}")
+    samples = np.frombuffer(payload, dtype="<c16").reshape(spec.shape, order="F")
     return FieldGrid(spec=spec, samples=np.ascontiguousarray(samples))

@@ -1,17 +1,19 @@
 """Channel weights and the measurement matrix.
 
-A channel is an (illumination shift, detector shift) pair.  Each stack is
-built from one intensity, computed once per stack:
+A channel is an (illumination shift, detector shift) pair, and a geometry
+enumerates the product of its illumination and detector shifts.  Each stack
+is built from one intensity, computed once per stack:
 
 - point scans use I = |U|^2 on the (x, y, z) grid, and the channel with
   detector shift delta = (dx, dy) weighs node r by I(r) I(r + delta):
   illumination intensity at r times the detection sensitivity of a pinhole
   displaced by delta;
-- line and cross-shift scans use the line-focus intensity
-  I_L(x, z) = |sum_y U(x, y, z) step_y|^2 on the (x, z) sub-grid, and the
-  channel (delta_i, delta_d) weighs node r by I_L(x + delta_i, z)
-  I_L(x + delta_d, z): an off-axis illumination line times an off-axis
-  detection line.  Line scans have delta_i = 0.
+- line scans use the line-focus intensity I_L(x, z) = |sum_y U(x, y, z)
+  step_y|^2 on the (x, z) sub-grid, and the channel (delta_i, delta_d)
+  weighs node r by I_L(x + delta_i, z) I_L(x + delta_d, z): an off-axis
+  illumination line times an off-axis detection line.  A cross-shift scan
+  shifts the illumination line too; a plain line scan is the cross-shift
+  scan whose only illumination shift is delta_i = 0.
 
 A weight is zero where a shift leaves the grid.  Stacking the vectorized
 channel weights column by column gives the K x N matrix consumed by the
@@ -29,92 +31,74 @@ from .debye import FieldGrid
 
 POINT_ARRAY = "point_array"
 LINE_ARRAY = "line_array"
-LINE_CROSS_SHIFT = "line_cross_shift"
 
 
 @dataclass(frozen=True)
 class ScanGeometry:
-    """Enumerated channel layout: detector shifts plus, for cross-shift
-    geometries, illumination shifts."""
+    """Enumerated channel layout: detector shifts and illumination shifts,
+    an empty illumination tuple standing for the single zero shift.  Only
+    line geometries shift the illumination."""
 
     kind: str
     detector_shifts: tuple
     illumination_shifts: tuple = ()
 
     def __post_init__(self):
-        if self.kind not in (POINT_ARRAY, LINE_ARRAY, LINE_CROSS_SHIFT):
+        if self.kind not in (POINT_ARRAY, LINE_ARRAY):
             raise ValueError(f"unknown geometry kind {self.kind!r}")
-        dets = list(self.detector_shifts)
-        if not dets:
-            raise ValueError("detector_shifts must be non-empty")
-        zero = (0.0, 0.0) if self.kind == POINT_ARRAY else 0.0
-        n_zero = sum(1 for s in dets if _shift_eq(s, zero))
-        if n_zero != 1:
-            raise ValueError("detector_shifts must contain the zero shift exactly once")
-        if len({_shift_key(s) for s in dets}) != len(dets):
-            raise ValueError("detector shifts must be unique")
-        if self.kind == LINE_CROSS_SHIFT:
-            ills = list(self.illumination_shifts)
-            if not ills:
-                raise ValueError("cross-shift geometry requires illumination_shifts")
-            if sum(1 for s in ills if _shift_eq(s, 0.0)) != 1:
-                raise ValueError("illumination_shifts must contain zero exactly once")
-            if len({_shift_key(s) for s in ills}) != len(ills):
-                raise ValueError("illumination shifts must be unique")
-        elif self.illumination_shifts:
-            raise ValueError(f"illumination_shifts only apply to {LINE_CROSS_SHIFT}")
+        if self.kind == POINT_ARRAY and self.illumination_shifts:
+            raise ValueError(f"illumination_shifts only apply to {LINE_ARRAY}")
+        for role, shifts in (("detector", self.detector_shifts), ("illumination", self._illuminations)):
+            keys = [_shift_key(s) for s in shifts]
+            if keys.count(self._zero) != 1:
+                raise ValueError(f"{role}_shifts must contain the zero shift exactly once")
+            if len(set(keys)) != len(keys):
+                raise ValueError(f"{role} shifts must be unique")
+
+    @property
+    def _zero(self):
+        """The zero shift: (dx, dy) on the point grid, dx on the line grid."""
+        return (0.0, 0.0) if self.kind == POINT_ARRAY else 0.0
+
+    @property
+    def _illuminations(self) -> tuple:
+        return tuple(self.illumination_shifts) or (self._zero,)
 
     @property
     def channels(self) -> list:
-        """Ordered (illumination, detector) channel descriptors; the
-        all-zero conventional channel comes first."""
-        if self.kind == POINT_ARRAY:
-            pairs = [((0.0, 0.0), d) for d in self.detector_shifts]
-            zero = ((0.0, 0.0), (0.0, 0.0))
-        elif self.kind == LINE_ARRAY:
-            pairs = [(0.0, d) for d in self.detector_shifts]
-            zero = (0.0, 0.0)
-        else:
-            pairs = [
-                (i, d)
-                for i in self.illumination_shifts
-                for d in self.detector_shifts
-            ]
-            zero = (0.0, 0.0)
-        rest = [p for p in pairs if not _shift_eq(p, zero)]
-        return [zero] + rest
+        """Ordered (illumination, detector) channel descriptors: the all-zero
+        conventional channel, then every other pair of the product, by
+        illumination shift and then by detector shift."""
+        zero = (self._zero, self._zero)
+        pairs = [(i, d) for i in self._illuminations for d in self.detector_shifts]
+        return [zero] + [p for p in pairs if _shift_key(p) != zero]
 
 
 def _shift_key(s):
+    """A shift rounded to 1e-12 for comparison."""
     if isinstance(s, tuple):
         return tuple(_shift_key(v) for v in s)
     return round(float(s), 12)
 
 
-def _shift_eq(a, b) -> bool:
-    return _shift_key(a) == _shift_key(b)
+def _centred(count: int, pitch: float) -> tuple:
+    """``count`` shifts at ``pitch``, symmetric about the zero shift."""
+    if count < 1 or count % 2 == 0:
+        raise ValueError(f"count must be odd and >= 1, got {count}")
+    half = count // 2
+    return tuple(pitch * i for i in range(-half, half + 1))
 
 
 def point_grid_geometry(count: int = 5, pitch: float = 0.75) -> ScanGeometry:
     """Square count x count detector-pixel grid centred on the pinhole."""
-    if count < 1 or count % 2 == 0:
-        raise ValueError("count must be odd and >= 1")
-    half = count // 2
-    shifts = tuple(
-        (pitch * i, pitch * j) for i in range(-half, half + 1) for j in range(-half, half + 1)
-    )
-    return ScanGeometry(kind=POINT_ARRAY, detector_shifts=shifts)
+    axis = _centred(count, pitch)
+    return ScanGeometry(kind=POINT_ARRAY, detector_shifts=tuple((x, y) for x in axis for y in axis))
 
 
 def line_array_geometry(count: int = 7, pitch: float = 0.25) -> ScanGeometry:
-    """1D array of detector lines at the given pitch."""
-    if count < 1 or count % 2 == 0:
-        raise ValueError("count must be odd and >= 1")
-    half = count // 2
-    return ScanGeometry(
-        kind=LINE_ARRAY,
-        detector_shifts=tuple(pitch * i for i in range(-half, half + 1)),
-    )
+    """1D array of detector lines at the given pitch: the cross-shift
+    geometry with the one illumination shift zero."""
+    return cross_shift_geometry(1, 0.0, count, pitch)
 
 
 def cross_shift_geometry(
@@ -124,13 +108,10 @@ def cross_shift_geometry(
     det_pitch: float = 0.25,
 ) -> ScanGeometry:
     """Full product of illumination scan shifts and detector lines."""
-    if illum_count < 1 or illum_count % 2 == 0 or det_count < 1 or det_count % 2 == 0:
-        raise ValueError("counts must be odd and >= 1")
-    ih, dh = illum_count // 2, det_count // 2
     return ScanGeometry(
-        kind=LINE_CROSS_SHIFT,
-        detector_shifts=tuple(det_pitch * i for i in range(-dh, dh + 1)),
-        illumination_shifts=tuple(illum_pitch * i for i in range(-ih, ih + 1)),
+        kind=LINE_ARRAY,
+        detector_shifts=_centred(det_count, det_pitch),
+        illumination_shifts=_centred(illum_count, illum_pitch),
     )
 
 
@@ -227,25 +208,25 @@ def _shifted(values: np.ndarray, offsets: tuple) -> np.ndarray:
 def build_stack(field: FieldGrid, geometry: ScanGeometry) -> OtfStack:
     """Assemble the K x N measurement matrix, one vectorized channel per column,
     every column from the one intensity of the geometry's kind."""
-    axes, intensity = _intensity(field, geometry.kind)
+    axes, source = intensity(field, geometry.kind)
     channels = geometry.channels
-    columns = np.empty((intensity.size, len(channels)), dtype=np.float64, order="F")
+    columns = np.empty((source.size, len(channels)), dtype=np.float64, order="F")
     for n, (illumination, detector) in enumerate(channels):
-        columns[:, n] = _channel_weight(intensity, axes, illumination, detector).ravel()
+        columns[:, n] = channel_weight(source, axes, illumination, detector).ravel()
     return OtfStack(axes=axes, columns=columns, channels=channels)
 
 
-def _intensity(field: FieldGrid, kind: str) -> tuple:
+def intensity(field: FieldGrid, kind: str) -> tuple:
     """The grid axes and the intensity a stack of ``kind`` is built from:
     |U|^2 on (x, y, z) for point scans, the line-focus intensity
-    |sum_y U step_y|^2 on (x, z) for line and cross-shift scans."""
+    |sum_y U step_y|^2 on (x, z) for line scans."""
     if kind == POINT_ARRAY:
         return (field.axis("x"), field.axis("y"), field.axis("z")), np.abs(field.samples) ** 2
     coherent_line = field.samples.sum(axis=1) * field.spec.step_y
     return (field.axis("x"), field.axis("z")), np.abs(coherent_line) ** 2
 
 
-def _channel_weight(intensity: np.ndarray, axes: tuple, illumination, detector) -> np.ndarray:
+def channel_weight(intensity: np.ndarray, axes: tuple, illumination, detector) -> np.ndarray:
     """I(r + illumination) I(r + detector), zero where a shift leaves the grid."""
     lit = _shifted(intensity, _offsets(illumination, axes, "illumination"))
     return lit * _shifted(intensity, _offsets(detector, axes, "detector"))

@@ -18,18 +18,22 @@ from .otf import OtfGrid
 
 @dataclass(frozen=True)
 class RegionMask:
+    """Binary focal vector f over the grid nodes; the out-of-focus vector is
+    its complement 1 - f."""
+
     axes: tuple
     focal: np.ndarray
-    out_of_focus: np.ndarray
     target_depth: float = 0.0
 
     def __post_init__(self):
-        if self.focal.shape != self.out_of_focus.shape:
-            raise ValueError("focal and out-of-focus vectors differ in shape")
-        if not np.array_equal(self.focal + self.out_of_focus, np.ones_like(self.focal)):
-            raise ValueError("masks must partition the grid: f + g = 1 everywhere")
+        if not np.all((self.focal == 0) | (self.focal == 1)):
+            raise ValueError("focal vector must hold only 0 and 1")
         if self.focal.sum() == 0:
             raise ValueError("focal region is empty")
+
+    @property
+    def out_of_focus(self) -> np.ndarray:
+        return 1 - self.focal
 
     @property
     def node_count(self) -> int:
@@ -77,12 +81,7 @@ def mainlobe_mask(reference_otf: OtfGrid) -> RegionMask:
     """Focal region = first-null ellipsoid of the zero-shift OTF."""
     radii = mainlobe_radii(reference_otf)
     focal = _ellipsoid(reference_otf.axes, radii).ravel()
-    return RegionMask(
-        axes=reference_otf.axes,
-        focal=focal,
-        out_of_focus=(1 - focal).astype(np.uint8),
-        target_depth=0.0,
-    )
+    return RegionMask(axes=reference_otf.axes, focal=focal)
 
 
 def depth_target_mask(reference_otf: OtfGrid, depth: float) -> RegionMask:
@@ -101,19 +100,11 @@ def depth_target_mask(reference_otf: OtfGrid, depth: float) -> RegionMask:
     lobe_up = _ellipsoid(reference_otf.axes, radii, z_center=abs(depth))
     lobe_down = _ellipsoid(reference_otf.axes, radii, z_center=-abs(depth))
     focal = np.maximum(lobe_up, lobe_down).ravel()
-    return RegionMask(
-        axes=reference_otf.axes,
-        focal=focal,
-        out_of_focus=(1 - focal).astype(np.uint8),
-        target_depth=float(abs(depth)),
-    )
+    return RegionMask(axes=reference_otf.axes, focal=focal, target_depth=float(abs(depth)))
 
 
 def _require_zero_channel(reference_otf: OtfGrid) -> None:
     ch = reference_otf.channel
-    flat = []
-    for part in ch:
-        flat.extend(part if isinstance(part, tuple) else (part,))
-    if any(abs(v) > 1e-12 for v in flat):
+    if np.any(np.abs(np.ravel(ch)) > 1e-12):
         raise ValueError(f"mainlobe mask requires the zero-shift OTF, got channel {ch}")
 

@@ -102,9 +102,7 @@ def test_criterion_06_oracle_equivalence():
         stack = cotf.OtfStack(
             axes=axes, columns=tmat, channels=[(0.0, float(i)) for i in range(n)]
         )
-        mask = cotf.RegionMask(
-            axes=axes, focal=focal, out_of_focus=(1 - focal).astype(np.uint8)
-        )
+        mask = cotf.RegionMask(axes=axes, focal=focal)
         result = cotf.solve(stack, mask)
         c = rng.standard_normal((n, 100_000))
         c /= np.linalg.norm(c, axis=0)

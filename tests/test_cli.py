@@ -73,11 +73,13 @@ def test_subcommands_succeed(tmp_path, command):
 
 
 def test_unknown_key_is_config_error(tmp_path, capsys):
-    # apodization and cache were keys once; they chose nothing.
+    # apodization, cache and directory were keys once; the first two chose
+    # nothing and --out sets the directory.
     for section, key, value in (
         ("aperture", "typo_key", "5"),
         ("aperture", "apodization", "sine_condition"),
         ("outputs", "cache", "false"),
+        ("outputs", "directory", "out"),
     ):
         config = write_config(tmp_path, {section: {key: value}})
         assert main(["--config", str(config), "field"]) == 2

@@ -1,5 +1,7 @@
 """Field-simulation tests: frozen reference values, symmetries, quadrature
 convergence, bit determinism, and the binary dump format."""
+import struct
+
 import numpy as np
 import pytest
 
@@ -86,6 +88,28 @@ def test_dump_load_roundtrip(small_field, tmp_path):
     assert np.array_equal(
         loaded.samples.view(np.float64), small_field.samples.view(np.float64)
     )
+
+
+def test_field_file_layout(tmp_path):
+    # The payload is little-endian (re, im) float64 pairs, x fastest, so
+    # files written by earlier versions keep loading.
+    spec = cotf.GridSpec(0.25, 0.5, 0.75, 0.25, 0.25, 0.25)
+    nx, ny, nz = spec.shape
+    samples = np.empty(spec.shape, dtype=np.complex128)
+    for ix, iy, iz in np.ndindex(spec.shape):
+        samples[ix, iy, iz] = complex(ix + 10 * iy + 100 * iz, -(ix + 1))
+    payload = b"".join(
+        struct.pack("<dd", samples[ix, iy, iz].real, samples[ix, iy, iz].imag)
+        for iz in range(nz) for iy in range(ny) for ix in range(nx)
+    )
+    path = tmp_path / "field.bin"
+    cotf.dump_field(cotf.FieldGrid(spec=spec, samples=samples), path)
+    header, _, written = path.read_bytes().partition(b"end=1\n")
+    assert written == payload
+    (tmp_path / "by_hand.bin").write_bytes(header + b"end=1\n" + payload)
+    loaded = cotf.load_field(tmp_path / "by_hand.bin")
+    assert loaded.spec == spec
+    assert np.array_equal(loaded.samples, samples)
 
 
 def test_load_rejects_corrupt_files(small_field, tmp_path):

@@ -20,7 +20,7 @@ def _toy_stack(columns):
 def _toy_mask(focal):
     focal = np.asarray(focal, dtype=np.uint8)
     axes = (np.arange(focal.size, dtype=np.float64),)
-    return cotf.RegionMask(axes=axes, focal=focal, out_of_focus=(1 - focal).astype(np.uint8))
+    return cotf.RegionMask(axes=axes, focal=focal)
 
 
 def test_single_channel_improvement_is_unity():

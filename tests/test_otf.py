@@ -134,9 +134,22 @@ def test_geometry_enumeration_orders_zero_first():
     assert channels[0] == (((0.0, 0.0)), (0.0, 0.0))
     assert all(ch != channels[0] for ch in channels[1:])
 
+    # The product of illumination and detector shifts, illumination outer,
+    # with the all-zero pair moved to the front.
     cross = cotf.cross_shift_geometry(3, 0.125, 3, 0.25)
-    assert len(cross.channels) == 9
-    assert cross.channels[0] == (0.0, 0.0)
+    pairs = [(i, d) for i in (-0.125, 0.0, 0.125) for d in (-0.25, 0.0, 0.25)]
+    assert cross.channels == [(0.0, 0.0)] + [p for p in pairs if p != (0.0, 0.0)]
+
+
+def test_line_scan_is_one_illumination_cross_scan(small_field):
+    line = cotf.line_array_geometry(7, 0.25)
+    assert line == cotf.cross_shift_geometry(1, 0.0, 7, 0.25)
+    # An empty illumination tuple stands for the single zero shift.
+    bare = cotf.ScanGeometry(kind=otf.LINE_ARRAY, detector_shifts=line.detector_shifts)
+    assert bare.channels == line.channels
+    stack = cotf.build_stack(small_field, line)
+    for other in (cotf.cross_shift_geometry(1, 0.0, 7, 0.25), bare):
+        assert np.array_equal(cotf.build_stack(small_field, other).columns, stack.columns)
 
 
 def test_geometry_validation():
@@ -148,8 +161,10 @@ def test_geometry_validation():
         cotf.ScanGeometry(kind=otf.LINE_ARRAY, detector_shifts=(0.0, 0.25, 0.25))
     with pytest.raises(ValueError, match="illumination_shifts only apply"):
         cotf.ScanGeometry(
-            kind=otf.LINE_ARRAY, detector_shifts=(0.0, 0.25), illumination_shifts=(0.0,)
+            kind=otf.POINT_ARRAY, detector_shifts=((0.0, 0.0),), illumination_shifts=((0.0, 0.0),)
         )
+    with pytest.raises(ValueError, match="illumination_shifts must contain the zero shift"):
+        cotf.ScanGeometry(kind=otf.LINE_ARRAY, detector_shifts=(0.0,), illumination_shifts=(0.125,))
     with pytest.raises(ValueError, match="unknown geometry kind"):
         cotf.ScanGeometry(kind="spiral", detector_shifts=(0.0,))
 

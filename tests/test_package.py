@@ -100,3 +100,19 @@ def test_benchmark_api_resolves():
     assert keywords["TruncationPolicy"] == {"threshold_db", "convention"}
     for name, passed in keywords.items():
         assert passed <= set(inspect.signature(getattr(cotf, name)).parameters), name
+
+
+def test_no_private_names_across_modules():
+    # A module reads only the public names of its siblings: no
+    # ``from .mod import _name`` and no ``mod._name``.
+    sources = sorted((ROOT / "src" / "cotf").glob("*.py"))
+    siblings = {path.stem for path in sources}
+    private = []
+    for path in sources:
+        for node in ast.walk(ast.parse(path.read_text())):
+            if isinstance(node, ast.ImportFrom) and node.level:
+                private += [(path.name, a.name) for a in node.names if a.name.startswith("_")]
+            if (isinstance(node, ast.Attribute) and getattr(node.value, "id", None) in siblings
+                    and node.attr.startswith("_") and not node.attr.startswith("__")):
+                private.append((path.name, f"{node.value.id}.{node.attr}"))
+    assert not private

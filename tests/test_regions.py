@@ -100,11 +100,10 @@ def test_first_null_distance():
 
 def test_region_mask_validation():
     axes = (np.linspace(-1, 1, 5),)
-    ones = np.ones(5, dtype=np.uint8)
-    zeros = np.zeros(5, dtype=np.uint8)
-    with pytest.raises(ValueError, match="partition"):
-        cotf.RegionMask(axes=axes, focal=ones, out_of_focus=ones)
+    with pytest.raises(ValueError, match="only 0 and 1"):
+        cotf.RegionMask(axes=axes, focal=np.array([0, 1, 2, 1, 0], dtype=np.uint8))
     with pytest.raises(ValueError, match="empty"):
-        cotf.RegionMask(axes=axes, focal=zeros, out_of_focus=ones)
-    with pytest.raises(ValueError, match="shape"):
-        cotf.RegionMask(axes=axes, focal=ones, out_of_focus=ones[:-1])
+        cotf.RegionMask(axes=axes, focal=np.zeros(5, dtype=np.uint8))
+    # The out-of-focus vector is the complement by construction.
+    mask = cotf.RegionMask(axes=axes, focal=np.array([0, 1, 1, 0, 0], dtype=np.uint8))
+    assert np.array_equal(mask.out_of_focus, [1, 0, 0, 1, 1])
